@@ -12,6 +12,13 @@ The planner claim rides on the same substrate: for a 10k batch of
 must beat the full tiled broadcast kernel by at least 3x with answers
 matching within 1e-9, and the planner must pick it unprompted.
 
+The dense-switch series ride on the paper's own OD size, an 11^6 matrix
+(one intermediate stop): the broadcast kernel, the dense fill, the
+prefix-table build and its corner gathers are timed separately, so
+``tools/calibrate.py`` can fit the engine's dense-switch constants in
+broadcast pair-dimension units.  The prefix table must be bit-identical
+to the ``np.cumsum`` build (``prefix_build_max_abs_diff`` is exactly 0).
+
 Results are written to ``BENCH_query_engine.json`` at the repository root
 so the speedup trajectory is visible across commits;
 ``tools/bench_gate.py`` fails CI when the recorded speedups regress.
@@ -27,6 +34,7 @@ import pytest
 from repro.core import (
     PLAN_BROADCAST,
     PLAN_PRUNED,
+    PrefixSumTable,
     PrivateFrequencyMatrix,
     boxes_to_arrays,
     packed_from_intervals,
@@ -42,6 +50,11 @@ N_QUERIES = 10_000
 SCALAR_SAMPLE = 200  # scalar reference is timed on this subsample
 SMALL_QUERY_EXTENT = 3  # small queries span at most this many extra cells
 PRUNED_SPEEDUP_FLOOR = 3.0
+
+OD_SHAPE = (11,) * 6  # the paper's OD matrix with one intermediate stop
+OD_GRID_M = 4  # 4^6 = 4096 partitions
+OD_QUERIES = 1000
+OD_REPEATS = 3  # dense-switch series report the best of this many runs
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_query_engine.json"
 
@@ -207,3 +220,72 @@ def test_engines_agree_on_full_workload(private_256, workload_10k):
     dense = private_256._prefix_table().query_arrays(lows, highs)
     np.testing.assert_allclose(kernel, dense, rtol=1e-9, atol=1e-6)
     np.testing.assert_allclose(pruned, kernel, rtol=0, atol=1e-9)
+
+
+def best_seconds(fn, repeats=OD_REPEATS):
+    """``(best wall time, last result)`` of ``repeats`` calls."""
+    best, result = float("inf"), None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def cumsum_prefix_table(data):
+    """The reference summed-area table: padded, ``np.cumsum`` per axis."""
+    table = np.zeros(tuple(s + 1 for s in data.shape), dtype=np.float64)
+    table[tuple(slice(1, None) for _ in data.shape)] = data
+    for axis in range(data.ndim):
+        np.cumsum(table, axis=axis, out=table)
+    return table
+
+
+def test_dense_switch_series_at_od_size():
+    """Time each stage of both dense-switch routes on an 11^6 matrix.
+
+    Records the broadcast kernel, the dense fill, the prefix-table build
+    and the prefix-table gathers for the same batch; the build must
+    match an (untimed) ``np.cumsum`` build bit for bit.
+    """
+    rng = np.random.default_rng(11)
+    intervals = [axis_intervals(s, OD_GRID_M) for s in OD_SHAPE]
+    k = OD_GRID_M ** len(OD_SHAPE)
+    noisy = rng.poisson(30.0, size=k).astype(float) + rng.laplace(0, 2.0, size=k)
+    packed = packed_from_intervals(intervals, noisy, OD_SHAPE)
+    lows, highs = random_workload(OD_SHAPE, OD_QUERIES, rng=12).as_arrays()
+
+    broadcast_seconds, broadcast = best_seconds(
+        lambda: packed.answer_many_arrays(lows, highs, plan=PLAN_BROADCAST)
+    )
+    dense_build_seconds, dense = best_seconds(packed.dense_array)
+    prefix_build_seconds, table = best_seconds(lambda: PrefixSumTable(dense))
+    prefix_query_seconds, answers = best_seconds(
+        lambda: table.query_arrays(lows, highs)
+    )
+    reference = cumsum_prefix_table(dense)
+    build_diff = float(np.abs(table._table - reference).max())
+
+    merge_artifact(
+        {
+            "od_shape": list(OD_SHAPE),
+            "od_n_partitions": k,
+            "od_n_queries": OD_QUERIES,
+            "od_broadcast_seconds": broadcast_seconds,
+            "dense_build_seconds": dense_build_seconds,
+            "prefix_build_seconds": prefix_build_seconds,
+            "prefix_query_seconds": prefix_query_seconds,
+            "prefix_build_max_abs_diff": build_diff,
+        }
+    )
+    print(
+        f"\n11^6: broadcast {broadcast_seconds * 1e3:.1f} ms "
+        f"(q={OD_QUERIES}, k={k}), dense fill "
+        f"{dense_build_seconds * 1e3:.1f} ms, prefix build "
+        f"{prefix_build_seconds * 1e3:.1f} ms, gathers "
+        f"{prefix_query_seconds * 1e3:.1f} ms"
+    )
+
+    np.testing.assert_array_equal(table._table, reference)
+    assert build_diff == 0.0
+    np.testing.assert_allclose(answers, broadcast, rtol=0, atol=1e-9)

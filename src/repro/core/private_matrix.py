@@ -26,9 +26,10 @@ Three storage backends are supported:
 Batch answering (:meth:`PrivateFrequencyMatrix.answer_many`) plans each
 batch across three strategies with a cost model: the broadcast kernel does
 ``O(q × k × d)`` work; reconstructing the dense matrix and building a
-prefix-sum table does ``O(cells)`` once and then ``O(2^d)`` per query — so
-when ``q × k`` exceeds a multiple of the cell count (and the matrix fits in
-memory) the dense route wins; and when the per-dimension interval index
+prefix-sum table does ``O(cells + k)`` once and then ``O(2^d)`` per query —
+so when ``q × k × d`` exceeds that build (free once the table is cached)
+plus the ``q × 2^d`` gathers, and the matrix fits in memory, the dense
+route wins; and when the per-dimension interval index
 (:mod:`repro.core.interval_index`) estimates that most partitions cannot
 overlap the batch's queries, the index-pruned gather skips them.  A fourth
 plan, ``sharded`` (:mod:`repro.core.sharding`), splits the partition axis
@@ -74,9 +75,33 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Matrices larger than this are never densified for querying.
 DENSE_SWITCH_MAX_CELLS = 50_000_000
 
-#: The dense prefix-sum engine is used when ``n_queries * n_partitions``
-#: exceeds this multiple of the cell count.
-DENSE_SWITCH_FACTOR = 4
+# The dense prefix-sum switch compares costs in broadcast pair-dimension
+# units (one query scored against one partition on one axis):
+#
+#     q * k * d  >  build + DENSE_QUERY_CORNER_COST * q * 2**d
+#
+# where ``build`` is zero once the matrix's prefix table is cached, and
+# otherwise ``DENSE_SWITCH_FACTOR * (cells + DENSE_FILL_PARTITION_COST * k)``.
+# Fitted with ``benchmarks/test_micro_query_engine.py`` on an 11^6 grid:
+# medians of four runs on a 2-core x86-64 VM, whose ranges were 1.8-2.2
+# (factor), 300-430 (fill) and 1.2-1.9 (corner).  ``tools/calibrate.py``
+# re-derives them on another machine.
+
+#: Cost of building the dense reconstruction and its prefix table, per
+#: cell (the ``EngineConfig.dense_switch_factor`` default).
+DENSE_SWITCH_FACTOR = 2
+
+#: Cost of filling one partition into the dense reconstruction
+#: (:meth:`PackedPartitioning.dense_array` runs one slice assignment
+#: per partition), in units of ``DENSE_SWITCH_FACTOR``.  Fitted on
+#: 729-cell grid partitions, so an upper bound for releases of smaller
+#: partitions: the DAF outputs of the ``paper-od`` benchmark fill at
+#: about 115.  For them the build is overpriced and the switch goes
+#: dense later than it could, never earlier.
+DENSE_FILL_PARTITION_COST = 350
+
+#: Cost of one prefix-table corner gather for one query.
+DENSE_QUERY_CORNER_COST = 1.6
 
 
 class PrivateFrequencyMatrix:
@@ -292,8 +317,9 @@ class PrivateFrequencyMatrix:
         then routed by a default-config :class:`~repro.engine.Engine`
         through the cost model described in the module docstring: the
         packed broadcast kernel, the interval-index pruned gather, or a
-        dense prefix-sum reconstruction when ``n_queries × n_partitions``
-        would dwarf the cell count.
+        dense prefix-sum reconstruction when the broadcast kernel's
+        ``n_queries × n_partitions × d`` work would outweigh building
+        (or reusing) the prefix table.
         """
         boxes = list(boxes)
         if not boxes:
@@ -413,6 +439,15 @@ class PrivateFrequencyMatrix:
         if self._dense_cache is None:
             self._dense_cache = self.packed.dense_array()
         return self._dense_cache
+
+    @property
+    def dense_table_cached(self) -> bool:
+        """True once the dense prefix-sum table has been built.
+
+        The engine's cost model charges no build for a cached table, so
+        the same batch may route differently before and after.
+        """
+        return self._prefix_cache is not None
 
     def _prefix_table(self) -> PrefixSumTable:
         if self._prefix_cache is None:

@@ -91,7 +91,8 @@ class EngineConfig:
         determinism lever for serving: with a fixed plan, a query's
         answer is bit-identical whether it is answered alone or inside
         any batch (each kernel computes per-query sums in a fixed
-        order; only *plan choice* depends on batch shape).
+        order; only *plan choice* depends on batch shape and on
+        whether the prefix table is already cached).
     n_shards:
         Partition-axis shard count; setting it selects the sharded
         plan, like ``answer_arrays(n_shards=...)`` always did.
@@ -107,9 +108,21 @@ class EngineConfig:
         Executor objects are not picklable in general — leave ``None``
         inside process-pool trial workers.
     dense_switch_factor / dense_switch_max_cells:
-        The dense prefix-sum switch: densify when ``q * k`` exceeds
-        ``dense_switch_factor * n_cells`` and the matrix has at most
-        ``dense_switch_max_cells`` cells.
+        The dense prefix-sum switch, in broadcast pair-dimension units:
+        densify when ``q * k * d`` exceeds ``build + c_q * q * 2**d``
+        and the matrix has at most ``dense_switch_max_cells`` cells.
+        ``build`` is ``dense_switch_factor * (n_cells + c_k * k)`` — the
+        cost of the dense reconstruction plus its prefix table — and
+        zero once the matrix's table is cached; ``c_k`` / ``c_q`` are
+        the module constants ``DENSE_FILL_PARTITION_COST`` /
+        ``DENSE_QUERY_CORNER_COST`` in :mod:`repro.core.private_matrix`.
+        The factor now prices one cell of the build, not a ``q * k``
+        multiple of the cell count, so an override tuned for the old
+        ``q * k > factor * n_cells`` rule (e.g. 4) does not mean the
+        same thing.  Because the build is free once cached, the auto
+        plan may answer the same request with a different plan after
+        the table exists; pin ``plan`` for bitwise-deterministic
+        answers.
     prune_min_partitions / prune_overhead_pairs / prune_safety_factor:
         The pruned-vs-broadcast pair-cost rule (see
         :func:`~repro.core.interval_index.candidate_cost_plan`).

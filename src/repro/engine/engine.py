@@ -20,9 +20,10 @@ Routing (mirrors, and replaces, the old ``answer_arrays`` body):
    layout for partition-backed outputs — dense-backed outputs (which
    have no partition list to shard) fall through to their dense route
    instead of erroring, so one config serves a mixed method set;
-3. otherwise the cost model picks: dense prefix sums once ``q × k``
-   dwarfs the cell count, else pruned-vs-broadcast by the interval
-   index's candidate bound.
+3. otherwise the cost model picks: dense prefix sums once the broadcast
+   kernel's ``q × k × d`` work exceeds the prefix table's build (zero
+   once it is cached) plus its ``q × 2^d`` corner gathers, else
+   pruned-vs-broadcast by the interval index's candidate bound.
 
 Every answer records the plan that actually ran and, for sharded
 execution, the per-shard evidence — so callers aggregate execution
@@ -46,6 +47,10 @@ from ..core.interval_index import (
     plan_with_slices,
 )
 from ..core.packed import validate_box_arrays
+from ..core.private_matrix import (
+    DENSE_FILL_PARTITION_COST,
+    DENSE_QUERY_CORNER_COST,
+)
 from .api import QueryAnswer, QueryRequest
 from .config import EngineConfig
 
@@ -167,14 +172,28 @@ class Engine:
     # Planning
     # ------------------------------------------------------------------
     def _dense_wins(self, n_queries: int) -> bool:
-        """The config-tuned dense prefix-sum switch."""
+        """The cache-aware dense prefix-sum switch.
+
+        Densify when the broadcast kernel's ``q·k·d`` pair-dimension
+        work exceeds the dense route's: building the prefix table (free
+        once it is cached) plus ``2^d`` corner gathers per query.
+        """
         cfg = self._config
         private = self._private
+        if private.is_dense_backed:
+            return True
         n_cells = int(np.prod(private.shape, dtype=np.int64))
-        return private.is_dense_backed or (
-            n_cells <= cfg.dense_switch_max_cells
-            and n_queries * private.n_partitions
-            > cfg.dense_switch_factor * n_cells
+        if n_cells > cfg.dense_switch_max_cells:
+            return False
+        ndim = len(private.shape)
+        k = private.n_partitions
+        build = 0.0
+        if not private.dense_table_cached:
+            build = cfg.dense_switch_factor * (
+                n_cells + DENSE_FILL_PARTITION_COST * k
+            )
+        return n_queries * k * ndim > (
+            build + DENSE_QUERY_CORNER_COST * n_queries * 2**ndim
         )
 
     def plan_queries(self, lows: np.ndarray, highs: np.ndarray) -> str:

@@ -16,7 +16,8 @@ schemas in ``docs/SERVING.md``):
 * ``GET /healthz`` — liveness; 200 while serving, 503 while draining.
 * ``GET /statz`` — monotone serving counters plus gauges: latency
   percentiles, tick-size distribution, queue depth, the event-loop
-  lag measured by :class:`LoopLagMonitor`, and — when the engine runs a
+  lag measured by :class:`LoopLagMonitor`, whether the engine's dense
+  prefix table is cached, and — when the engine runs a
   resident :class:`~repro.engine.ShardWorkerPool` — worker gauges
   (alive count, restarts, queue depth, per-worker batch counts).
 
@@ -595,6 +596,11 @@ class EngineServer:
                 "heartbeat_interval_ms": 1e3 * self.monitor.interval,
                 "max_lag_ms": 1e3 * self.monitor.max_lag,
                 "beats": self.monitor.beats,
+            },
+            # Once the prefix table is built the planner prices the
+            # dense plan without its build, so routing can change.
+            "engine": {
+                "dense_table_cached": self.engine.private.dense_table_cached,
             },
             # Resident shard-worker gauges (null unless the engine is
             # running a ShardWorkerPool): alive count, restarts, queue

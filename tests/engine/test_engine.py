@@ -156,7 +156,10 @@ class TestDenseBacked:
 class TestConfigThresholds:
     """The config's thresholds actually steer the planner."""
 
-    def test_dense_switch_factor(self, private):
+    def test_dense_switch_factor(self):
+        # A fresh matrix: the factor prices the prefix-table build, which
+        # is free once any earlier test has cached the shared fixture's.
+        private = grid_private()
         lows, highs = random_bounds((64, 64), 50, np.random.default_rng(5))
         # An enormous factor forbids densifying; a zero-ish one forces it.
         never = Engine(private, EngineConfig(dense_switch_factor=1e12))

@@ -432,6 +432,31 @@ class TestStatzAndHealth:
         assert stats["loop"]["max_lag_ms"] >= 0.0
         assert stats["queue"]["max_pending_requests"] >= 1
 
+    def test_statz_reports_dense_table_cached(self):
+        # A fresh matrix: the module fixture's table may already be built.
+        private = grid_private()
+        bulk = client_requests(
+            1, np.random.default_rng(9), q_low=500, q_high=501
+        )[0]
+
+        async def run():
+            async with serve(Engine(private)) as server:
+                async with AsyncServingClient(port=server.port) as client:
+                    stats = [await client.statz()]
+                    plans = [(await client.query([[0, 0]], [[5, 5]])).plan]
+                    stats.append(await client.statz())
+                    plans.append((await client.query_request(bulk)).plan)
+                    stats.append(await client.statz())
+                    plans.append((await client.query([[0, 0]], [[5, 5]])).plan)
+                    return plans, [s["engine"]["dense_table_cached"] for s in stats]
+
+        plans, cached = asyncio.run(run())
+        # One small box is answered without building the table; a
+        # 500-box batch pays the build, after which the same small box
+        # routes dense too.
+        assert cached == [False, False, True]
+        assert plans[0] != "dense" and plans[1:] == ["dense", "dense"]
+
 
 class TestLifecycle:
     def test_graceful_drain_finishes_inflight_then_refuses(self, engine):

@@ -21,6 +21,7 @@ QUERY_BASELINE = {
     "kernel_max_abs_diff": 2e-10,
     "auto_max_abs_diff": 3e-10,
     "pruned_max_abs_diff": 1e-14,
+    "prefix_build_max_abs_diff": 0.0,
 }
 
 PARALLEL_BASELINE = {
@@ -443,6 +444,19 @@ class TestExactnessGate:
         result = run_gate(baseline, fresh)
         assert result.returncode == 1
         assert "pruned_max_abs_diff" in result.stdout
+
+    def test_prefix_build_drift_fails(self, dirs):
+        # The prefix table must stay bit-identical to the np.cumsum build.
+        baseline, fresh = dirs
+        fresh_query = dict(QUERY_BASELINE, prefix_build_max_abs_diff=1e-6)
+        write_artifacts(baseline, QUERY_BASELINE, PARALLEL_BASELINE)
+        write_artifacts(fresh, fresh_query, PARALLEL_BASELINE)
+        result = run_gate(baseline, fresh)
+        assert result.returncode == 1
+        assert (
+            "FAIL  BENCH_query_engine.json:prefix_build_max_abs_diff"
+            in result.stdout
+        )
 
     def test_exactness_series_disappearing_fails(self, dirs):
         # The disappearance rule covers exactness ceilings too: a fresh

@@ -15,16 +15,21 @@ _spec = importlib.util.spec_from_file_location("calibrate", CALIBRATE)
 calibrate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(calibrate)
 
-#: A synthetic artifact with easy round numbers: q=1000, k=1000,
-#: cells=10_000; broadcast pair cost 1e-6 s; dense total 0.1 s ->
-#: break-even at q*k = 1e5 pairs = 10x the cell count.
+#: A synthetic artifact with easy round numbers.  Dense series: 10^3
+#: cells, d=3, q=100, k=100; broadcast 0.3 s -> 1e-5 s per pair-dim;
+#: prefix build 0.05 s -> 5 units per cell; dense fill 0.5 s -> 100
+#: factor units per partition; gathers 0.016 s -> 2 units per corner.
 FULL_ARTIFACT = {
     "shape": [100, 100],
     "n_partitions": 1000,
     "n_queries": 1000,
-    "kernel_seconds": 1.0,
-    "auto_seconds": 0.1,
-    "auto_plan": "dense",
+    "od_shape": [10, 10, 10],
+    "od_n_partitions": 100,
+    "od_n_queries": 100,
+    "od_broadcast_seconds": 0.3,
+    "prefix_build_seconds": 0.05,
+    "dense_build_seconds": 0.5,
+    "prefix_query_seconds": 0.016,
     "broadcast_seconds_small": 1.0,
     "pruned_seconds_small": 0.1,
     "small_query_candidate_fraction": 0.01,
@@ -34,9 +39,19 @@ FULL_ARTIFACT = {
 class TestSuggest:
     def test_dense_factor_from_breakeven(self):
         out = calibrate.suggest(FULL_ARTIFACT)
-        assert out["evidence"]["dense_breakeven_factor"] == pytest.approx(10.0)
-        assert out["dense_switch_factor"] == pytest.approx(
-            10.0 / calibrate.DENSE_HEADROOM
+        evidence = out["evidence"]
+        assert evidence["broadcast_pair_dim_seconds"] == pytest.approx(1e-5)
+        assert out["dense_switch_factor"] == pytest.approx(5.0)
+        assert evidence["dense_fill_partition_cost"] == pytest.approx(100.0)
+        assert evidence["dense_query_corner_cost"] == pytest.approx(2.0)
+
+    def test_fitted_constants_shown_next_to_shipped(self):
+        from repro.core.private_matrix import DENSE_QUERY_CORNER_COST
+
+        report = calibrate.render(calibrate.suggest(FULL_ARTIFACT))
+        assert (
+            f"dense_query_corner_cost = 2 (shipped {DENSE_QUERY_CORNER_COST:g})"
+            in report
         )
 
     def test_prune_factor_from_pair_ratio(self):
@@ -52,7 +67,7 @@ class TestSuggest:
         )
 
     def test_suggestions_floor_at_one(self):
-        artifact = dict(FULL_ARTIFACT, auto_seconds=1e-9,
+        artifact = dict(FULL_ARTIFACT, prefix_build_seconds=1e-9,
                         pruned_seconds_small=1e-9)
         out = calibrate.suggest(artifact)
         assert out["dense_switch_factor"] >= 1.0
@@ -63,14 +78,17 @@ class TestSuggest:
             k: v for k, v in FULL_ARTIFACT.items()
             if not k.startswith(("broadcast_", "pruned_", "small_"))
         }
+        assert "prefix_build_seconds" in partial
         out = calibrate.suggest(partial)
         assert "dense_switch_factor" in out
         assert "prune_safety_factor" not in out
         assert "no suggestions" not in calibrate.render(out)
 
-    def test_non_dense_auto_plan_skips_dense_series(self):
-        out = calibrate.suggest(dict(FULL_ARTIFACT, auto_plan="broadcast"))
+    def test_unmeasured_dense_stage_skips_dense_series(self):
+        # A zero timing is a stage that was not measured, not a free one.
+        out = calibrate.suggest(dict(FULL_ARTIFACT, od_broadcast_seconds=0.0))
         assert "dense_switch_factor" not in out
+        assert "dense_query_corner_cost" not in out["evidence"]
 
     def test_empty_artifact_renders_no_suggestions(self):
         out = calibrate.suggest({})

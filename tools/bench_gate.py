@@ -27,7 +27,10 @@ Rules
 * ``BENCH_query_engine.json`` — ``kernel_speedup``, ``auto_speedup``
   and ``pruned_speedup`` must each stay within ``--max-regression``
   (default 30%) of the baseline value; ``*_max_abs_diff`` fields must
-  stay at or below ``--max-abs-diff`` (default 1e-9).
+  stay at or below ``--max-abs-diff`` (default 1e-9).  Among them,
+  ``prefix_build_max_abs_diff`` (the prefix table against the
+  ``np.cumsum`` build — bit-identity, so the benchmark records
+  exactly 0).
 * ``BENCH_parallel_trials.json`` / ``BENCH_sharded.json`` — ``speedup``
   is compared the same way, but an entry marked ``skipped_low_cores``
   (on either side) is ignored: a narrow machine measures the machine,
@@ -87,6 +90,7 @@ ABS_DIFF_KEYS = {
         "kernel_max_abs_diff",
         "auto_max_abs_diff",
         "pruned_max_abs_diff",
+        "prefix_build_max_abs_diff",
     ],
     "BENCH_sharded.json": [
         "sharded_max_abs_diff",

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Dense-switch / pruning calibration from measured benchmark artifacts.
 
-``DENSE_SWITCH_FACTOR`` and the ``PRUNE_*`` constants were chosen on one
-development machine; the right crossovers depend on the host's BLAS,
+The dense-switch constants and the ``PRUNE_*`` constants were fitted on
+one development machine; the right crossovers depend on the host's BLAS,
 memory bandwidth, and core count.  This tool reads the measurements the
 query-engine micro-benchmark already records (``BENCH_query_engine.json``
 at the repository root) and prints *suggested*
@@ -13,15 +13,21 @@ calibration output is a suggestion to a human, not a config mutation.
 
 Model
 -----
-* **Dense switch.**  The artifact measures the broadcast kernel on a
-  ``q × k`` batch (``kernel_seconds``) and the dense prefix-sum route on
-  the same batch (``auto_seconds``, recorded when the planner picked
-  ``dense``).  The kernel costs ``pair_cost = kernel_seconds / (q·k)``
-  per scored pair; the dense route's total is ~flat in ``q`` at this
-  scale.  They break even when ``q·k ≈ auto_seconds / pair_cost``, i.e.
-  at ``factor* = auto_seconds · q · k / (kernel_seconds · cells)`` times
-  the cell count — with a safety margin below that, densifying is a
-  measured win.
+* **Dense switch.**  The engine densifies when
+  ``q·k·d > build + c_q·q·2^d``, in broadcast pair-dimension units (one
+  query scored against one partition on one axis), with
+  ``build = dense_switch_factor·(cells + c_k·k)`` until the prefix table
+  is cached.  The artifact times every term on one 11^6 substrate (the
+  paper's OD size): the broadcast kernel on a ``q × k`` batch
+  (``od_broadcast_seconds``) gives the unit ``u = seconds / (q·k·d)``;
+  the prefix-table build (``prefix_build_seconds``) per cell is the
+  factor, ``prefix_build_seconds / (u·cells)``; the dense fill
+  (``dense_build_seconds``) per partition, in factor units, is ``c_k``;
+  the table's gathers (``prefix_query_seconds``) per query corner are
+  ``c_q``.  Only the factor is an :class:`~repro.engine.EngineConfig`
+  field, so it is the suggestion; ``c_k`` and ``c_q`` are reported next
+  to the shipped ``DENSE_FILL_PARTITION_COST`` /
+  ``DENSE_QUERY_CORNER_COST`` as evidence.
 * **Prune safety factor.**  The small-query case measures the broadcast
   kernel (``broadcast_seconds_small``) against the pruned gather
   (``pruned_seconds_small``) whose touched-pair estimate is
@@ -43,12 +49,6 @@ import math
 import sys
 from pathlib import Path
 
-#: The suggested dense switch sits this far below the measured
-#: break-even multiple, so the dense route is only taken where it is a
-#: clear, not marginal, win (mirrors the conservatism of the shipped
-#: default: measured break-even is far above the default factor).
-DENSE_HEADROOM = 4.0
-
 #: Head-room multiplier on the measured gathered-vs-contiguous pair-cost
 #: ratio (the candidate bound is an over-estimate of *work*, not of
 #: *savings*, so the raw ratio is too aggressive).
@@ -63,8 +63,22 @@ try:
 except ImportError:  # pragma: no cover - standalone invocation
     PRUNE_OVERHEAD_PAIRS = 64.0
 
+# The shipped dense-switch module constants, printed next to their fits.
+try:
+    from repro.core.private_matrix import (
+        DENSE_FILL_PARTITION_COST,
+        DENSE_QUERY_CORNER_COST,
+    )
+    SHIPPED = {
+        "dense_fill_partition_cost": DENSE_FILL_PARTITION_COST,
+        "dense_query_corner_cost": DENSE_QUERY_CORNER_COST,
+    }
+except ImportError:  # pragma: no cover - standalone invocation
+    SHIPPED = {}
+
 REQUIRED_DENSE_KEYS = (
-    "kernel_seconds", "auto_seconds", "n_queries", "n_partitions", "shape",
+    "od_shape", "od_n_partitions", "od_n_queries", "od_broadcast_seconds",
+    "dense_build_seconds", "prefix_build_seconds", "prefix_query_seconds",
 )
 REQUIRED_PRUNE_KEYS = (
     "broadcast_seconds_small", "pruned_seconds_small",
@@ -77,25 +91,36 @@ def suggest(artifact: dict) -> dict:
 
     Returns a dict with any of ``dense_switch_factor`` /
     ``prune_safety_factor`` plus the intermediate evidence under
-    ``evidence``.  Series whose inputs are missing are skipped (the
-    artifact may predate them).
+    ``evidence`` (including the fitted dense-switch module constants,
+    which no config field overrides).  Series whose inputs are missing
+    are skipped (the artifact may predate them).
     """
     out: dict = {"evidence": {}}
     if all(k in artifact for k in REQUIRED_DENSE_KEYS):
-        q = float(artifact["n_queries"])
-        k = float(artifact["n_partitions"])
-        cells = float(math.prod(artifact["shape"]))
-        kernel_seconds = float(artifact["kernel_seconds"])
-        auto_seconds = float(artifact["auto_seconds"])
-        if kernel_seconds > 0 and auto_seconds > 0 and artifact.get(
-            "auto_plan", "dense"
-        ) == "dense":
-            pair_cost = kernel_seconds / (q * k)
-            breakeven = auto_seconds / pair_cost / cells
-            suggestion = max(1.0, breakeven / DENSE_HEADROOM)
-            out["dense_switch_factor"] = round(suggestion, 2)
-            out["evidence"]["dense_breakeven_factor"] = round(breakeven, 2)
-            out["evidence"]["broadcast_pair_seconds"] = pair_cost
+        shape = artifact["od_shape"]
+        d = len(shape)
+        cells = float(math.prod(shape))
+        q = float(artifact["od_n_queries"])
+        k = float(artifact["od_n_partitions"])
+        seconds = {
+            key: float(artifact[key]) for key in REQUIRED_DENSE_KEYS[3:]
+        }
+        if all(value > 0 for value in seconds.values()):
+            unit = seconds["od_broadcast_seconds"] / (q * k * d)
+            # Floored at one unit per cell: a build cheaper than that is
+            # a timing glitch, and would densify everything.
+            factor = max(
+                1.0, seconds["prefix_build_seconds"] / (unit * cells)
+            )
+            out["dense_switch_factor"] = round(factor, 2)
+            evidence = out["evidence"]
+            evidence["broadcast_pair_dim_seconds"] = unit
+            evidence["dense_fill_partition_cost"] = round(
+                seconds["dense_build_seconds"] / (unit * factor * k), 1
+            )
+            evidence["dense_query_corner_cost"] = round(
+                seconds["prefix_query_seconds"] / (unit * q * 2**d), 2
+            )
     if all(k in artifact for k in REQUIRED_PRUNE_KEYS):
         q = float(artifact["n_queries"])
         k = float(artifact["n_partitions"])
@@ -126,7 +151,8 @@ def render(suggestions: dict) -> str:
     }
     lines = []
     for key, value in sorted(suggestions.get("evidence", {}).items()):
-        lines.append(f"measured  {key} = {value:g}")
+        shipped = f" (shipped {SHIPPED[key]:g})" if key in SHIPPED else ""
+        lines.append(f"measured  {key} = {value:g}{shipped}")
     if not overrides:
         lines.append(
             "no suggestions: artifact lacks the required measurement series"
