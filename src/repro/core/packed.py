@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
-from .exceptions import PartitioningError, QueryError
+from .exceptions import PartitioningError, QueryError, ValidationError
 from .frequency_matrix import Box
 from .interval_index import (
     PACKED_PLANS,
@@ -72,6 +72,46 @@ def boxes_to_arrays(boxes: Sequence[Box]) -> Tuple[np.ndarray, np.ndarray]:
     return lows, highs
 
 
+def index_array(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array, refusing anything but integers.
+
+    Integer arrays pass through; float arrays pass only when every value
+    is finite, integral and within int64 (so ``[[1.0, 2.0]]`` is accepted
+    but ``[[1.7, 2.9]]`` is not silently truncated to ``[[1, 2]]``).
+    Booleans, strings, ``None`` and integers beyond int64 (which NumPy
+    holds as objects) raise :class:`ValidationError`.  The checks are
+    whole-array NumPy operations, with no per-element Python work.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise ValidationError(
+            f"{name} must be a rectangular array ({exc})"
+        ) from exc
+    kind = arr.dtype.kind
+    if kind == "i":
+        return arr.astype(np.int64, copy=False)
+    if kind == "u":
+        if arr.size and arr.max() > np.iinfo(np.int64).max:
+            raise ValidationError(f"{name} exceed the int64 range")
+        return arr.astype(np.int64)
+    if kind == "f":
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{name} must be finite integers")
+        if (arr != np.trunc(arr)).any():
+            raise ValidationError(
+                f"{name} must be integers, got fractional values"
+            )
+        # ±2**63 are exact in float64; int64 holds [-2**63, 2**63).
+        if arr.size and (arr.min() < -(2.0**63) or arr.max() >= 2.0**63):
+            raise ValidationError(f"{name} exceed the int64 range")
+        return arr.astype(np.int64)
+    raise ValidationError(
+        f"{name} must be integers within the int64 range, got "
+        f"{'booleans' if kind == 'b' else f'dtype {arr.dtype}'}"
+    )
+
+
 def validate_box_arrays(
     lows: np.ndarray, highs: np.ndarray, shape: Sequence[int]
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -79,10 +119,12 @@ def validate_box_arrays(
 
     Validates a whole batch of boxes in O(n·d) NumPy ops instead of one
     Python-level check per box, and returns them normalized to int64.
+    Non-integer bounds raise :class:`ValidationError` (see
+    :func:`index_array`); malformed boxes raise :class:`QueryError`.
     """
     shape = tuple(int(s) for s in shape)
-    lows = np.asarray(lows, dtype=np.int64)
-    highs = np.asarray(highs, dtype=np.int64)
+    lows = index_array(lows, "lows")
+    highs = index_array(highs, "highs")
     if lows.ndim != 2 or lows.shape != highs.shape:
         raise QueryError(
             f"box arrays must both have shape (n, ndim), got "

@@ -8,9 +8,8 @@ tiled broadcast, index-pruned gather, partition-axis sharding — but
 with every tuning decision read from the config instead of from
 scattered kwargs and module constants.  It is the *only* query path:
 ``PrivateFrequencyMatrix.answer_many`` routes through a default-config
-engine, the deprecated ``answer_arrays``/``answer_sharded`` shims
-construct one per call, and :class:`~repro.engine.AsyncBatchEngine`
-answers each tick with exactly one :meth:`Engine.answer` invocation.
+engine, and :class:`~repro.engine.AsyncBatchEngine` answers each tick
+with exactly one :meth:`Engine.answer` invocation.
 
 Routing (mirrors, and replaces, the old ``answer_arrays`` body):
 

@@ -52,9 +52,8 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Deque, Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from ..core.exceptions import QueryError, ValidationError
+from ..core.packed import index_array
 from .async_batch import AsyncBatchEngine
 from .api import QueryRequest
 from .engine import Engine
@@ -478,9 +477,9 @@ class EngineServer:
             self._counters["bad_requests"] += 1
             return 400, {"error": "workload must be a string"}, None
         try:
-            lows = np.asarray(payload.get("lows"), dtype=np.int64)
-            highs = np.asarray(payload.get("highs"), dtype=np.int64)
-        except (TypeError, ValueError) as exc:
+            lows = index_array(payload.get("lows"), "lows")
+            highs = index_array(payload.get("highs"), "highs")
+        except ValidationError as exc:
             self._counters["bad_requests"] += 1
             return (
                 400,

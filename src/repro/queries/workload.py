@@ -50,7 +50,7 @@ class Workload:
         """The queries as validated ``(lows, highs)`` int64 arrays.
 
         Built and validated once, then cached on the instance: the batch
-        query engines (:meth:`PrivateFrequencyMatrix.answer_arrays`,
+        query engines (:meth:`repro.engine.Engine.answer_arrays`,
         :meth:`PrefixSumTable.query_arrays`) consume these directly, so a
         workload evaluated across many private matrices pays conversion
         exactly once.

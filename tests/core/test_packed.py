@@ -16,6 +16,7 @@ from repro.core import (
     PartitioningError,
     PrivateFrequencyMatrix,
     QueryError,
+    ValidationError,
     boxes_to_arrays,
     full_box,
     grid_boxes,
@@ -172,6 +173,45 @@ class TestValidation:
             validate_box_arrays(good_lo, good_hi, (3, 3))
         with pytest.raises(QueryError, match="dimensions"):
             validate_box_arrays(good_lo, good_hi, (4, 4, 4))
+
+    @pytest.mark.parametrize(
+        "lows",
+        [
+            np.array([[1.7, 2.9]]),  # was truncated to [[1, 2]]
+            np.array([[np.nan, 0.0]]),
+            np.array([[np.inf, 0.0]]),
+            np.array([[2.0**63, 0.0]]),
+            np.array([[2**63, 0]], dtype=np.uint64),
+            np.array([[True, False]]),
+            [[2**64, 0]],
+            [[None, 0]],
+            [[0, 0], [1]],
+        ],
+        ids=["fractional", "nan", "inf", "float_2_63", "uint64_2_63",
+             "bool", "object_int", "none", "ragged"],
+    )
+    def test_validate_box_arrays_rejects_non_integer_bounds(self, lows):
+        highs = np.array([[3, 3]])
+        with pytest.raises(ValidationError, match="lows"):
+            validate_box_arrays(lows, highs, (4, 4))
+
+    def test_validate_box_arrays_accepts_integral_floats(self):
+        lows, highs = validate_box_arrays(
+            np.array([[1.0, 0.0]]), [[3, 2]], (4, 4)
+        )
+        assert lows.dtype == highs.dtype == np.int64
+        assert lows.tolist() == [[1, 0]] and highs.tolist() == [[3, 2]]
+
+    def test_engine_rejects_fractional_bounds(self):
+        from repro.engine import Engine, QueryRequest
+
+        packed = packed_from_intervals(
+            [[(0, 1), (2, 3)], [(0, 3)]], np.array([4.0, 8.0]), (4, 4)
+        )
+        engine = Engine(PrivateFrequencyMatrix.from_packed(packed))
+        request = QueryRequest(np.array([[1.7, 0.0]]), np.array([[2.9, 3.0]]))
+        with pytest.raises(ValidationError, match="fractional"):
+            engine.answer(request)
 
 
 class TestConversions:

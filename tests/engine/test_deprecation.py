@@ -1,11 +1,10 @@
-"""The kwarg-era shims: one DeprecationWarning, identical results.
+"""Internal query paths stay free of DeprecationWarnings.
 
-``PrivateFrequencyMatrix.answer_arrays`` / ``answer_sharded`` survive as
-thin shims over :class:`repro.engine.Engine`.  This suite is the one
-place the old entry points are still called on purpose: each call must
-emit a :class:`DeprecationWarning` pointing at ``Engine.answer``, and
-return results identical to the facade — values, reported plans,
-per-shard evidence, and errors alike.
+The kwarg-era ``PrivateFrequencyMatrix.answer_arrays`` /
+``answer_sharded`` shims are gone; :class:`repro.engine.Engine` is the
+one query surface.  The paths the library itself takes — batch
+answering, planning, workload evaluation with the legacy ``n_shards``
+keyword — must not emit a :class:`DeprecationWarning`.
 """
 
 import warnings
@@ -13,16 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core import (
-    PLAN_BROADCAST,
-    PLAN_DENSE,
-    PLAN_PRUNED,
-    PLAN_SHARDED,
-    FrequencyMatrix,
-    PrivateFrequencyMatrix,
-    QueryError,
-)
-from repro.engine import Engine, EngineConfig, QueryRequest
+from repro.core import FrequencyMatrix
 from repro.methods import get_sanitizer
 
 SHAPE = (32, 32)
@@ -33,104 +23,6 @@ def private():
     rng = np.random.default_rng(3)
     matrix = FrequencyMatrix(rng.poisson(3.0, SHAPE).astype(float))
     return get_sanitizer("kdtree").sanitize(matrix, 0.5, 7)
-
-
-@pytest.fixture(scope="module")
-def bounds():
-    rng = np.random.default_rng(5)
-    a = rng.integers(0, SHAPE[0], size=(40, 2))
-    b = rng.integers(0, SHAPE[0], size=(40, 2))
-    return np.minimum(a, b).astype(np.int64), np.maximum(a, b).astype(np.int64)
-
-
-def call_with_single_deprecation(fn, *args, **kwargs):
-    """Invoke ``fn`` asserting exactly one DeprecationWarning fires."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = fn(*args, **kwargs)
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1, f"expected 1 warning, got {deprecations}"
-    assert "Engine.answer" in str(deprecations[0].message)
-    return result
-
-
-class TestAnswerArraysShim:
-    @pytest.mark.parametrize(
-        "plan", [None, PLAN_DENSE, PLAN_BROADCAST, PLAN_PRUNED]
-    )
-    def test_identical_results_per_plan(self, private, bounds, plan):
-        lows, highs = bounds
-        old, old_plan = call_with_single_deprecation(
-            private.answer_arrays, lows, highs, plan=plan, return_plan=True
-        )
-        new = Engine(private, EngineConfig(plan=plan)).answer(
-            QueryRequest(lows, highs)
-        )
-        np.testing.assert_array_equal(old, new.answers)  # bit-identical
-        assert old_plan == new.plan
-
-    def test_n_shards_kwarg_selects_sharded(self, private, bounds):
-        lows, highs = bounds
-        old, old_plan = call_with_single_deprecation(
-            private.answer_arrays, lows, highs, n_shards=3, return_plan=True
-        )
-        assert old_plan == PLAN_SHARDED
-        new = Engine(private, EngineConfig(n_shards=3)).answer(
-            QueryRequest(lows, highs)
-        )
-        np.testing.assert_array_equal(old, new.answers)
-
-    def test_default_return_shape_unchanged(self, private, bounds):
-        lows, highs = bounds
-        old = call_with_single_deprecation(
-            private.answer_arrays, lows, highs
-        )
-        assert isinstance(old, np.ndarray)  # no tuple without return_plan
-
-    def test_old_errors_preserved(self, private):
-        one = np.zeros((1, 2), dtype=np.int64)
-        with pytest.raises(QueryError, match="sharded"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                private.answer_arrays(one, one, plan=PLAN_PRUNED, n_shards=2)
-        with pytest.raises(QueryError, match="unknown packed query plan"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                private.answer_arrays(one, one, plan="sideways")
-
-
-class TestAnswerShardedShim:
-    def test_identical_evidence(self, private, bounds):
-        lows, highs = bounds
-        old = call_with_single_deprecation(
-            private.answer_sharded, lows, highs, n_shards=3
-        )
-        new = Engine(private, EngineConfig(n_shards=3)).answer_sharded(
-            lows, highs
-        )
-        np.testing.assert_array_equal(old.answers, new.answers)
-        assert old.plans == new.plans
-        assert old.bounds == new.bounds
-
-    def test_dense_backed_still_rejected(self):
-        dense = PrivateFrequencyMatrix.from_dense_noisy(np.ones((8, 8)))
-        one = np.zeros((1, 2), dtype=np.int64)
-        with pytest.raises(QueryError, match="dense-backed"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                dense.answer_sharded(one, one, n_shards=2)
-
-    def test_dense_backed_empty_batch_with_n_shards_stays_empty(self):
-        # The kwarg API returned an empty vector (plan "sharded")
-        # before ever checking the backend; the shim must too.
-        dense = PrivateFrequencyMatrix.from_dense_noisy(np.ones((8, 8)))
-        empty = np.empty((0, 2), dtype=np.int64)
-        answers, plan = call_with_single_deprecation(
-            dense.answer_arrays, empty, empty, n_shards=2, return_plan=True
-        )
-        assert answers.size == 0 and plan == PLAN_SHARDED
 
 
 class TestInternalPathsDoNotWarn:

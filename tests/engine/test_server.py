@@ -214,6 +214,81 @@ class TestBadRequests:
         assert status == 400
         assert "lows/highs" in body["error"]
 
+    @pytest.mark.parametrize(
+        "lows",
+        [
+            [[1.7, 2.9]],  # was truncated and answered as [[1, 2]]
+            [[float("nan"), 0]],
+            [[float("inf"), 0]],
+            [[2**63, 0]],  # beyond int64: used to drop the connection
+            [[-(2**64), 0]],
+            [[True, False]],
+            [["1", "2"]],
+        ],
+        ids=["fractional", "nan", "inf", "int64_max_plus_1", "below_int64",
+             "bool", "string"],
+    )
+    def test_non_integer_bounds_are_400_and_counted(self, engine, lows):
+        # json.dumps writes NaN/Infinity tokens, which json.loads accepts.
+        payload = json.dumps({"lows": lows, "highs": [[5, 5]]}).encode()
+
+        async def run():
+            async with serve(engine) as server:
+                reply = await raw_exchange(
+                    server.port, post_bytes("/v1/query", payload)
+                )
+                return reply, server.statz()["counters"]
+
+        (status, _, body), counters = asyncio.run(run())
+        assert status == 400
+        assert "lows" in body["error"]
+        assert counters["bad_requests"] == 1
+        assert counters["requests_total"] == 1
+
+    def test_integral_float_bounds_are_answered(self, engine):
+        async def run():
+            async with serve(engine) as server:
+                async with AsyncServingClient(port=server.port) as client:
+                    as_floats = await client.query([[1.0, 2.0]], [[9.0, 7.0]])
+                    as_ints = await client.query([[1, 2]], [[9, 7]])
+            return as_floats, as_ints
+
+        as_floats, as_ints = asyncio.run(run())
+        np.testing.assert_array_equal(as_floats.answers, as_ints.answers)
+
+    def test_outcome_counters_reconcile_with_requests_total(self, engine):
+        bodies = [
+            json.dumps({"lows": [[0, 0]], "highs": [[3, 3]]}),
+            json.dumps({"lows": [[2**64, 0]], "highs": [[3, 3]]}),
+            json.dumps({"lows": [[0.5, 0]], "highs": [[3, 3]]}),
+            "{not json",
+            json.dumps({"lows": [[0, 0]], "highs": [[999, 0]]}),
+            json.dumps({"lows": [[0, 0]] * 9, "highs": [[1, 1]] * 9}),
+            json.dumps({"lows": [[4, 4]], "highs": [[5, 6]]}),
+        ]
+
+        async def run():
+            async with serve(engine, max_batch_queries=8) as server:
+                statuses = []
+                for body in bodies:
+                    status, _, _ = await raw_exchange(
+                        server.port, post_bytes("/v1/query", body.encode())
+                    )
+                    statuses.append(status)
+                return statuses, server.statz()["counters"]
+
+        statuses, counters = asyncio.run(run())
+        assert statuses == [200, 400, 400, 400, 400, 413, 200]
+        outcomes = (
+            "answered_requests",
+            "bad_requests",
+            "rejected_oversized",
+            "rejected_queue_full",
+            "timeouts",
+        )
+        assert counters["requests_total"] == len(bodies)
+        assert counters["requests_total"] == sum(counters[k] for k in outcomes)
+
     def test_out_of_range_query_is_400(self, engine):
         async def run():
             async with serve(engine) as server:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import FrequencyMatrix, MethodError, full_box
+from repro.core.frequency_matrix import box_slices
 from repro.methods import (
     CountThreshold,
     DAFEntropy,
@@ -13,7 +14,7 @@ from repro.methods import (
     daf_granularity,
     homogeneity_objective,
 )
-from repro.methods.daf.framework import _interval_counts, _intervals_from_cuts
+from repro.methods.daf.framework import _intervals_from_cuts
 from repro.methods.daf.node import DAFNode
 
 
@@ -49,12 +50,15 @@ class TestIntervalHelpers:
     def test_intervals_no_cuts(self):
         assert _intervals_from_cuts((2, 5), []) == [(2, 5)]
 
-    def test_interval_counts_match_direct_sum(self, small_2d):
-        box = ((2, 13), (1, 14))
-        intervals = [(2, 5), (6, 9), (10, 13)]
-        counts = _interval_counts(small_2d, box, 0, intervals)
-        for (lo, hi), c in zip(intervals, counts):
-            assert c == pytest.approx(small_2d.data[lo:hi + 1, 1:15].sum())
+    def test_interval_counts_match_direct_sum(self, small_4d):
+        # Every node's true count, from the entry walk (root runs, deeper
+        # bincounts over regrouped entries), equals its box's dense sum.
+        method = DAFEntropy(stop_condition=NeverStop())
+        method.sanitize(small_4d, 1.0, rng=0)
+        nodes = list(method.tree_.iter_nodes())
+        assert max(node.depth for node in nodes) == small_4d.ndim
+        for node in nodes:
+            assert node.count == small_4d.data[box_slices(node.box)].sum()
 
 
 class TestDAFTreeStructure:

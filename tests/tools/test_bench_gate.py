@@ -45,6 +45,14 @@ ASYNC_BASELINE = {
     "batched_ticks": 1,
 }
 
+SANITIZE_BASELINE = {
+    "speedup": 5.0,
+    "score_max_rel_diff": 7e-16,
+    "sanitize_seconds": 0.17,
+    "dense_speedup": 3.0,
+    "dense_score_max_rel_diff": 4e-16,
+}
+
 SERVING_BASELINE = {
     "responsiveness_ratio": 40.0,
     "serving_max_abs_diff": 0.0,
@@ -54,7 +62,7 @@ SERVING_BASELINE = {
 
 
 def write_artifacts(directory, query=None, parallel=None, sharded=None,
-                    async_batching=None, serving=None):
+                    async_batching=None, serving=None, sanitize=None):
     directory.mkdir(parents=True, exist_ok=True)
     if query is not None:
         (directory / "BENCH_query_engine.json").write_text(json.dumps(query))
@@ -70,6 +78,8 @@ def write_artifacts(directory, query=None, parallel=None, sharded=None,
         )
     if serving is not None:
         (directory / "BENCH_serving.json").write_text(json.dumps(serving))
+    if sanitize is not None:
+        (directory / "BENCH_sanitize.json").write_text(json.dumps(sanitize))
 
 
 def run_gate(baseline, fresh, *extra):
@@ -280,6 +290,53 @@ class TestAsyncBatchingArtifact:
         )
         result = run_gate(baseline, fresh)
         assert result.returncode == 0, result.stdout
+
+
+class TestSanitizeArtifact:
+    """BENCH_sanitize.json: tracked speedup + relative-score ceiling."""
+
+    def test_sanitize_speedup_regression_fails(self, dirs):
+        baseline, fresh = dirs
+        write_artifacts(baseline, QUERY_BASELINE, sanitize=SANITIZE_BASELINE)
+        write_artifacts(fresh, QUERY_BASELINE, sanitize=SANITIZE_BASELINE)
+        result = run_gate(baseline, fresh)
+        assert result.returncode == 0, result.stdout
+        assert "BENCH_sanitize.json:speedup" in result.stdout
+        write_artifacts(
+            fresh, QUERY_BASELINE, sanitize=dict(SANITIZE_BASELINE, speedup=2.0)
+        )
+        result = run_gate(baseline, fresh)
+        assert result.returncode == 1
+        assert "FAIL  BENCH_sanitize.json:speedup" in result.stdout
+
+    def test_score_drift_fails_even_without_baseline(self, dirs):
+        baseline, fresh = dirs
+        write_artifacts(baseline, QUERY_BASELINE)
+        write_artifacts(
+            fresh, QUERY_BASELINE,
+            sanitize=dict(SANITIZE_BASELINE, score_max_rel_diff=1e-6),
+        )
+        result = run_gate(baseline, fresh)
+        assert result.returncode == 1
+        assert "FAIL  BENCH_sanitize.json:score_max_rel_diff" in result.stdout
+
+    def test_dense_grid_regression_and_drift_fail(self, dirs):
+        baseline, fresh = dirs
+        write_artifacts(baseline, QUERY_BASELINE, sanitize=SANITIZE_BASELINE)
+        write_artifacts(
+            fresh, QUERY_BASELINE,
+            sanitize=dict(SANITIZE_BASELINE, dense_speedup=1.5),
+        )
+        result = run_gate(baseline, fresh)
+        assert result.returncode == 1
+        assert "FAIL  BENCH_sanitize.json:dense_speedup" in result.stdout
+        write_artifacts(
+            fresh, QUERY_BASELINE,
+            sanitize=dict(SANITIZE_BASELINE, dense_score_max_rel_diff=1e-6),
+        )
+        result = run_gate(baseline, fresh)
+        assert result.returncode == 1
+        assert "FAIL  BENCH_sanitize.json:dense_score_max_rel_diff" in result.stdout
 
 
 class TestServingArtifact:

@@ -18,7 +18,8 @@ Usage (what the CI ``bench-gate`` job runs; also works locally)::
         benchmarks/test_micro_query_engine.py \
         benchmarks/test_micro_parallel_trials.py \
         benchmarks/test_micro_sharded.py \
-        benchmarks/test_micro_async_batching.py -q
+        benchmarks/test_micro_async_batching.py \
+        benchmarks/test_micro_daf.py -q
     python tools/loadtest.py --ci --no-enforce
     python tools/bench_gate.py --baseline /tmp/bench-baseline --fresh .
 
@@ -43,6 +44,12 @@ Rules
   one-by-one through the async serving endpoint; single-threaded, so
   never core-skipped) and the ``async_max_abs_diff`` exactness ceiling
   (the benchmark itself asserts it is exactly 0).
+* ``BENCH_sanitize.json`` — ``speedup`` and ``dense_speedup``
+  (DAF-Homogeneity sanitize on a 6-D OD matrix and on a dense 1000²
+  city grid with candidates scored sub-box by sub-box, over the shipped
+  one-pass scoring; single-threaded, so never core-skipped) and the
+  ``score_max_rel_diff`` / ``dense_score_max_rel_diff`` exactness
+  ceilings (one-pass vs reference Eq. 22 scores, relative).
 * ``BENCH_serving.json`` — written by ``tools/loadtest.py`` against a
   live HTTP server.  ``responsiveness_ratio`` (on-loop vs off-loop max
   event-loop lag under heavy ticks) is held to an *absolute* floor of
@@ -79,6 +86,7 @@ SPEEDUP_KEYS = {
     "BENCH_parallel_trials.json": ["speedup"],
     "BENCH_sharded.json": ["speedup"],
     "BENCH_async_batching.json": ["speedup"],
+    "BENCH_sanitize.json": ["speedup", "dense_speedup"],
     # Gated by FLOOR_KEYS / ABS_DIFF_KEYS only; listed here so a
     # missing fresh artifact still fails the gate.
     "BENCH_serving.json": [],
@@ -97,6 +105,7 @@ ABS_DIFF_KEYS = {
         "resident_max_abs_diff",
     ],
     "BENCH_async_batching.json": ["async_max_abs_diff"],
+    "BENCH_sanitize.json": ["score_max_rel_diff", "dense_score_max_rel_diff"],
     "BENCH_serving.json": ["serving_max_abs_diff"],
 }
 
@@ -238,7 +247,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--max-abs-diff", type=float, default=1e-9,
-        help="ceiling for recorded *_max_abs_diff exactness fields",
+        help="ceiling for the recorded exactness fields (*_max_abs_diff, "
+        "*score_max_rel_diff)",
     )
     args = parser.parse_args(argv)
     failures = gate(
