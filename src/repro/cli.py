@@ -44,7 +44,6 @@ import numpy as np
 from .core.frequency_matrix import FrequencyMatrix
 from .datagen import get_city, gaussian_matrix, grid_substrate, zipf_matrix
 from .engine import (
-    SHARD_EXECUTORS,
     AsyncBatchEngine,
     Engine,
     EngineConfig,
@@ -147,13 +146,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     scale = get_scale(args.scale)
     if args.n_jobs is not None:
         scale = scale.with_overrides(n_jobs=args.n_jobs)
-    if args.n_shards is not None:
-        scale = scale.with_overrides(n_shards=args.n_shards)
-    config = _engine_config(args)
-    if config != EngineConfig():
-        # Only a real override lands on the scale — a default config
-        # would needlessly conflict with the legacy --n-shards knob.
-        scale = scale.with_overrides(engine_config=config)
+    scale = scale.with_overrides(engine_config=_engine_config(args))
     result = ALL_ARTIFACTS[args.artifact](scale=scale, rng=args.seed)
     columns = [c for c in result.rows[0] if c not in ("mre_std", "n_trials")]
     print(result.to_text(columns))
@@ -181,12 +174,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def _serve_engine(args: argparse.Namespace) -> Engine:
     """The engine ``serve`` fronts: sanitized dataset or bench substrate."""
     config = _engine_config(args)
-    # Dedicated serve flags layer on top of --engine-config / env vars
-    # (most specific wins), mirroring the loadtest harness's knobs.
-    if getattr(args, "shard_executor", None):
-        config = config.with_overrides(shard_executor=args.shard_executor)
-    if getattr(args, "n_shards", None) is not None:
-        config = config.with_overrides(n_shards=args.n_shards)
     if args.bench_substrate is not None:
         private = grid_substrate(
             shape=(args.bench_shape,) * 2,
@@ -329,10 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trial parallelism: 1 = serial (default), "
                             "k > 1 = worker processes, -1 = all cores; "
                             "results are identical across settings")
-    p_fig.add_argument("--n-shards", type=int, default=None,
-                       help="force the sharded query engine with this many "
-                            "partition-axis shards per trial (default: let "
-                            "the planner choose; answers agree within 1e-9)")
     _add_engine_config_arg(p_fig)
 
     p_cmp = sub.add_parser("compare", help="compare methods on one dataset")
@@ -378,16 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "tests that verify exactness out-of-process")
     p_srv.add_argument("--bench-shape", type=int, default=256,
                        help="square side of the bench substrate matrix")
-    p_srv.add_argument("--shard-executor", default=None,
-                       choices=list(SHARD_EXECUTORS),
-                       help="how sharded batches execute: 'serial' "
-                            "in-process, or 'resident' through a "
-                            "persistent shard-worker pool over "
-                            "shared-memory shards (selects the sharded "
-                            "plan; shorthand for the engine-config field)")
-    p_srv.add_argument("--n-shards", type=int, default=None,
-                       help="partition-axis shard count for the sharded "
-                            "plan (shorthand for the engine-config field)")
     _add_engine_config_arg(p_srv)
 
     return parser

@@ -87,8 +87,7 @@ class PlanCost:
     planner (:meth:`repro.core.sharding.PartitionShard.partial`), and
     the engine facade's :class:`~repro.engine.EngineConfig` — so a
     calibration override tunes them all at once.  The defaults are the
-    historical module constants; plain frozen data, so it pickles with
-    shard tasks.
+    historical module constants.
     """
 
     min_partitions: int = PRUNE_MIN_PARTITIONS
@@ -122,31 +121,6 @@ class IntervalIndex:
             self._order.append(order)
             self._lo_sorted.append(np.ascontiguousarray(lo[order, a]))
             self._run_max_hi.append(np.maximum.accumulate(hi[order, a]))
-
-    @classmethod
-    def from_buffers(
-        cls,
-        packed: "PackedPartitioning",
-        order: List[np.ndarray],
-        lo_sorted: List[np.ndarray],
-        run_max_hi: List[np.ndarray],
-    ) -> "IntervalIndex":
-        """Rebuild an index from already-computed backing buffers.
-
-        The zero-copy construction path of the shared-memory shard
-        layout (:mod:`repro.core.shm`): a worker process attaches the
-        per-dimension ``order`` / ``lo_sorted`` / ``run_max_hi`` arrays
-        the parent built once, instead of re-sorting — so the attached
-        index is buffer-identical to the parent's, not merely
-        value-equal.  No validation: the caller owns consistency with
-        ``packed``.
-        """
-        index = object.__new__(cls)
-        index._packed = packed
-        index._order = list(order)
-        index._lo_sorted = list(lo_sorted)
-        index._run_max_hi = list(run_max_hi)
-        return index
 
     @property
     def packed(self) -> "PackedPartitioning":

@@ -39,10 +39,8 @@ import numpy as np
 from .exceptions import PartitioningError, QueryError, ValidationError
 from .frequency_matrix import Box
 from .interval_index import (
-    PACKED_PLANS,
     PLAN_BROADCAST,
     PLAN_PRUNED,
-    PLAN_SHARDED,
     IntervalIndex,
     PlanCost,
     choose_packed_plan,
@@ -51,7 +49,7 @@ from .interval_index import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .partition import Partitioning
-    from .sharding import PartitionShard, ShardedAnswer
+    from .sharding import PartitionShard
 
 #: Target number of elements per broadcast intermediate (~32 MB of
 #: float64).  Query batches are tiled so no single ``(q_tile, k)`` array
@@ -426,32 +424,6 @@ class PackedPartitioning:
             self._shards[key] = split_shards(self, requested)
         return self._shards[key]
 
-    def answer_sharded_arrays(
-        self,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        *,
-        n_shards: int | None = None,
-        executor: object | None = None,
-        cost: "PlanCost | None" = None,
-    ) -> "ShardedAnswer":
-        """The sharded strategy: per-shard partial sums, merged.
-
-        Returns the full :class:`~repro.core.sharding.ShardedAnswer` so
-        callers can inspect which shards skipped; the merged
-        ``.answers`` match the broadcast kernel within float
-        reassociation.  ``executor`` is an ordered-``map`` provider
-        (e.g. :class:`~repro.experiments.parallel.ProcessPoolTrialExecutor`);
-        ``None`` evaluates shards serially in-process.  ``cost``
-        overrides the per-shard planning constants.
-        """
-        from .sharding import answer_sharded
-
-        return answer_sharded(
-            self, lows, highs, n_shards=n_shards, executor=executor,
-            cost=cost,
-        )
-
     def answer_many_arrays(
         self,
         lows: np.ndarray,
@@ -468,12 +440,10 @@ class PackedPartitioning:
 
         ``plan`` forces a strategy: :data:`~repro.core.interval_index.PLAN_BROADCAST`
         (the tiled kernel), :data:`~repro.core.interval_index.PLAN_PRUNED`
-        (interval-index candidate gather), or
-        :data:`~repro.core.interval_index.PLAN_SHARDED` (partition-axis
-        shards with per-shard skip, merged partial sums — see
-        :meth:`answer_sharded_arrays` for shard-count and executor
-        control).  When ``None`` the planner picks, using the index's
-        candidate bound as the cost signal.  For the broadcast kernel,
+        (interval-index candidate gather); the sharded plan lives in
+        :func:`repro.core.sharding.answer_sharded`, whose shards call
+        back into this kernel.  When ``None`` the planner picks, using the
+        index's candidate bound as the cost signal.  For the broadcast kernel,
         memory is bounded by tiling the query axis so each
         ``(q_tile, k)`` intermediate stays under ``tile_elements``
         elements.
@@ -490,12 +460,10 @@ class PackedPartitioning:
             return self.interval_index().answer_pruned(
                 lows, highs, slices=slices
             )
-        if plan == PLAN_SHARDED:
-            return self.answer_sharded_arrays(lows, highs).answers
         if plan != PLAN_BROADCAST:
             raise QueryError(
-                f"unknown packed query plan {plan!r}; expected one of "
-                f"{', '.join(repr(p) for p in PACKED_PLANS)}"
+                f"unknown packed query plan {plan!r}; expected "
+                f"{PLAN_BROADCAST!r} or {PLAN_PRUNED!r}"
             )
         k = self.n_partitions
         d = self.ndim

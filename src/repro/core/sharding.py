@@ -24,27 +24,18 @@ exactly that:
   model as the single-node engine — index-pruned gather when the bound
   says most of the shard is untouched, tiled broadcast otherwise.
 
-Shard evaluation order does not affect the merged answers (each partial
-is computed independently and the merge is a fixed-order sum), so the
-partials can be computed serially or fanned out across a process pool.
-The ``executor`` argument of :func:`answer_sharded` accepts anything
-with an ordered ``map(fn, items)`` method — in particular the
-:class:`~repro.experiments.parallel.Executor` backends
-(:class:`~repro.experiments.parallel.SerialExecutor`,
-:class:`~repro.experiments.parallel.ProcessPoolTrialExecutor`), so the
-experiment harness's ``n_jobs`` machinery drives shard fan-out too.
-``None`` runs the shards in-process.
+Shards run one after another in-process, and the merge is a
+fixed-order sum over shards, so repeated batches give bit-identical
+answers.
 
-This is the ROADMAP's "partition lists outgrow one node" step: a shard
-is self-contained (its arrays, its index), ships across a process
-boundary by pickling, and answers any batch without seeing the other
-shards — the same structure a multi-node deployment would distribute.
+A shard is self-contained (its arrays, its index) and answers any
+batch without seeing the other shards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -58,10 +49,9 @@ from .interval_index import (
 from .packed import PackedPartitioning
 
 #: Default shard count when ``plan="sharded"`` is forced without an
-#: explicit ``n_shards``.  Deliberately modest: on one node sharding
-#: mostly pays off through shard skipping and process fan-out, and the
-#: per-shard index build is pure overhead for tiny shards.  Always
-#: clipped to the partition count.
+#: explicit ``n_shards``.  Deliberately modest: sharding pays off
+#: through shard skipping, and the per-shard index build is pure
+#: overhead for tiny shards.  Always clipped to the partition count.
 DEFAULT_N_SHARDS = 8
 
 #: Recorded in :attr:`ShardedAnswer.plans` for a shard whose candidate
@@ -74,8 +64,8 @@ def shard_bounds(n_partitions: int, n_shards: int) -> List[Tuple[int, int]]:
 
     ``n_shards`` is clipped to ``n_partitions`` (a shard must hold at
     least one partition); the first ``n_partitions % n_shards`` shards
-    get one extra row.  Deterministic, so serial and pooled execution
-    see identical shards.
+    get one extra row.  Deterministic, so every batch sees identical
+    shards.
     """
     n_partitions = int(n_partitions)
     n_shards = int(n_shards)
@@ -100,8 +90,7 @@ class PartitionShard:
     Holds its own :class:`~repro.core.packed.PackedPartitioning` built
     from the parent's array slices (no exact-cover validation — a shard
     deliberately covers only part of the matrix) and lazily builds its
-    own interval index.  Picklable, so a shard can be shipped to a
-    worker process and answer batches there.
+    own interval index.
     """
 
     __slots__ = ("start", "stop", "packed")
@@ -123,31 +112,6 @@ class PartitionShard:
             None if true is None else true[start:stop],
             validate=False,
         )
-
-    @classmethod
-    def from_packed(
-        cls, packed: PackedPartitioning, start: int, stop: int
-    ) -> "PartitionShard":
-        """Wrap an already-sliced sub-partitioning as a shard.
-
-        Used by the shared-memory attach path
-        (:meth:`repro.core.shm.ShmShardSpec.attach`), where the shard's
-        :class:`~repro.core.packed.PackedPartitioning` is rebuilt from
-        zero-copy segment views rather than sliced from a parent.
-        ``start``/``stop`` only label the shard's position on the
-        parent partition axis; ``packed`` must already hold exactly
-        those rows.
-        """
-        if stop - start != packed.n_partitions:
-            raise QueryError(
-                f"shard range [{start}, {stop}) does not match the "
-                f"{packed.n_partitions} supplied partitions"
-            )
-        shard = object.__new__(cls)
-        shard.start = int(start)
-        shard.stop = int(stop)
-        shard.packed = packed
-        return shard
 
     @property
     def n_partitions(self) -> int:
@@ -241,32 +205,19 @@ def split_shards(
     ]
 
 
-def _shard_partial(
-    task: Tuple[PartitionShard, np.ndarray, np.ndarray, PlanCost | None]
-) -> Tuple[np.ndarray | None, str]:
-    """Module-level task body so pool executors can pickle it by name."""
-    shard, lows, highs, cost = task
-    return shard.partial(lows, highs, cost)
-
-
 def answer_sharded(
     packed: PackedPartitioning,
     lows: np.ndarray,
     highs: np.ndarray,
     *,
     n_shards: int | None = None,
-    executor: object | None = None,
     cost: PlanCost | None = None,
 ) -> ShardedAnswer:
     """Answer a validated batch by summing per-shard partial answers.
 
-    ``executor`` is anything with an ordered ``map(fn, items)`` method
-    (e.g. the :mod:`repro.experiments.parallel` backends); ``None`` runs
-    the shards serially in-process.  ``cost`` overrides the per-shard
-    pruned-vs-broadcast rule's constants (it ships with each shard
-    task, so pooled and serial execution plan identically).  The merge
-    is a fixed-order sum over shards, so the result is independent of
-    where each partial was computed, and matches the one-node broadcast
+    The shards run serially in-process.  ``cost`` overrides the
+    per-shard pruned-vs-broadcast rule's constants.  The merge is a
+    fixed-order sum over shards, and matches the one-node broadcast
     kernel within float reassociation (the equivalence suite pins this
     at 1e-9).
     """
@@ -277,25 +228,16 @@ def answer_sharded(
     shards = packed.split_shards(n_shards)
     bounds = tuple((s.start, s.stop) for s in shards)
     q = int(lows.shape[0])
+    answers = np.zeros(q, dtype=np.float64)
     if q == 0:
         return ShardedAnswer(
-            answers=np.zeros(0, dtype=np.float64),
+            answers=answers,
             bounds=bounds,
             plans=(SHARD_SKIPPED,) * len(shards),
         )
-    tasks = [(shard, lows, highs, cost) for shard in shards]
-    if executor is None:
-        partials: Sequence[Tuple[np.ndarray | None, str]] = [
-            _shard_partial(task) for task in tasks
-        ]
-    else:
-        # Anything that is not None must provide map(); a misconfigured
-        # executor (say, an n_jobs int) should fail loudly, not silently
-        # fall back to serial and fake a fan-out measurement.
-        partials = list(executor.map(_shard_partial, tasks))
-    answers = np.zeros(q, dtype=np.float64)
     plans: List[str] = []
-    for partial, plan in partials:
+    for shard in shards:
+        partial, plan = shard.partial(lows, highs, cost)
         plans.append(plan)
         if partial is not None:
             answers += partial

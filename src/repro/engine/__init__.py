@@ -11,18 +11,14 @@ sanitized :class:`~repro.core.PrivateFrequencyMatrix`:
   response carrying the batch, the plan that ran, per-shard evidence,
   and timing;
 * :class:`Engine` — the synchronous facade wrapping plan selection and
-  all four execution strategies;
+  all four execution strategies, each run in-process (the sharded plan
+  answers its shards one after another and merges them in fixed order);
 * :class:`AsyncBatchEngine` — the asyncio micro-batching endpoint that
   coalesces concurrent clients into ticks answered by one engine
   invocation each (optionally off-loop in a thread pool);
 * :class:`EngineServer` — the stdlib asyncio HTTP transport
   (``POST /v1/query`` / ``GET /healthz`` / ``GET /statz``) with
   backpressure, timeouts, and graceful drain;
-* :class:`ShardWorkerPool` — the resident shard-worker pool behind
-  ``EngineConfig(shard_executor="resident")``: one persistent process
-  per partition shard attached zero-copy to a shared-memory segment,
-  with heartbeat, crash restart, and exactly-once segment cleanup (see
-  ``docs/WORKERS.md``);
 * :class:`ServingClient` / :class:`AsyncServingClient` — matching HTTP
   clients that rebuild full :class:`QueryAnswer` objects; non-2xx
   answers raise :class:`ServingError`.
@@ -31,14 +27,12 @@ sanitized :class:`~repro.core.PrivateFrequencyMatrix`:
 from .api import QueryAnswer, QueryRequest
 from .async_batch import AsyncBatchEngine, gather_answers
 from .client import AsyncServingClient, ServingClient, ServingError
-from .config import ENGINE_PLANS, SHARD_EXECUTORS, EngineConfig
+from .config import ENGINE_PLANS, EngineConfig
 from .engine import Engine
 from .server import EngineServer
-from .worker_pool import ShardWorkerPool
 
 __all__ = [
     "ENGINE_PLANS",
-    "SHARD_EXECUTORS",
     "AsyncBatchEngine",
     "AsyncServingClient",
     "Engine",
@@ -48,6 +42,5 @@ __all__ = [
     "QueryRequest",
     "ServingClient",
     "ServingError",
-    "ShardWorkerPool",
     "gather_answers",
 ]

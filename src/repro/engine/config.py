@@ -1,16 +1,17 @@
 """`EngineConfig`: the one tuning knob of the query-serving engine.
 
 Before the engine existed, tuning the query path meant a different
-mechanism per knob: ``plan=`` / ``n_shards=`` / ``shard_executor=``
-kwargs threaded through every ``answer_arrays`` call site, and the
-dense-switch / pruning thresholds frozen as module constants in
+mechanism per knob: ``plan=`` / ``n_shards=`` kwargs threaded through
+every ``answer_arrays`` call site, and the dense-switch / pruning
+thresholds frozen as module constants in
 :mod:`repro.core.private_matrix` and :mod:`repro.core.interval_index`.
 :class:`EngineConfig` consolidates all of them into one validated,
 immutable object that travels with an :class:`~repro.engine.Engine`:
 
 * **routing** — ``plan`` pins a strategy (``dense`` / ``broadcast`` /
-  ``pruned`` / ``sharded``); ``n_shards`` / ``shard_executor`` select
-  and parameterize the sharded layout;
+  ``pruned`` / ``sharded``); ``n_shards`` selects the sharded layout
+  and sets its shard count (shards always run in-process, see
+  :mod:`repro.core.sharding`);
 * **cost model** — ``dense_switch_factor`` / ``dense_switch_max_cells``
   govern the prefix-sum switch, and the ``prune_*`` fields feed the
   pruned-vs-broadcast pair-cost rule
@@ -30,7 +31,7 @@ or from ``REPRO_ENGINE_<FIELD>`` environment variables
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Mapping
 
 from ..core.exceptions import QueryError, ValidationError
@@ -52,23 +53,13 @@ ENGINE_PLANS = (PLAN_DENSE,) + PACKED_PLANS
 #: Environment-variable prefix for :meth:`EngineConfig.from_env`.
 ENV_PREFIX = "REPRO_ENGINE_"
 
-#: Named shard-execution modes accepted as ``shard_executor`` strings.
-#: ``"serial"`` answers the shards in-process; ``"resident"`` routes
-#: through a persistent :class:`~repro.engine.ShardWorkerPool` over
-#: shared-memory shards.  Live ordered-``map`` executor objects remain
-#: accepted programmatically.
-SHARD_EXECUTORS = ("serial", "resident")
-
 #: Fields settable from strings (CLI ``--engine-config`` / env vars),
-#: with their coercions.  ``shard_executor`` accepts the named modes in
-#: :data:`SHARD_EXECUTORS`; live executor objects can still be passed
-#: as keyword arguments, just not spelled as strings.
-#: Fields in :data:`_OPTIONAL_FIELDS` additionally accept ``none``.
-_OPTIONAL_FIELDS = frozenset({"plan", "n_shards", "shard_executor"})
+#: with their coercions.  Fields in :data:`_OPTIONAL_FIELDS`
+#: additionally accept ``none``.
+_OPTIONAL_FIELDS = frozenset({"plan", "n_shards"})
 _STRING_FIELDS: Dict[str, type] = {
     "plan": str,
     "n_shards": int,
-    "shard_executor": str,
     "dense_switch_factor": float,
     "dense_switch_max_cells": int,
     "prune_min_partitions": int,
@@ -96,17 +87,6 @@ class EngineConfig:
     n_shards:
         Partition-axis shard count; setting it selects the sharded
         plan, like ``answer_arrays(n_shards=...)`` always did.
-    shard_executor:
-        How shard partials are executed; setting it alone also selects
-        the sharded plan.  Accepts the named modes ``"serial"``
-        (in-process, same as ``None`` with ``n_shards`` set) and
-        ``"resident"`` (a persistent
-        :class:`~repro.engine.ShardWorkerPool` whose per-shard worker
-        processes attach shared-memory shards and survive across
-        requests), or any ordered-``map`` provider object (e.g.
-        :class:`~repro.experiments.parallel.ProcessPoolTrialExecutor`).
-        Executor objects are not picklable in general — leave ``None``
-        inside process-pool trial workers.
     dense_switch_factor / dense_switch_max_cells:
         The dense prefix-sum switch, in broadcast pair-dimension units:
         densify when ``q * k * d`` exceeds ``build + c_q * q * 2**d``
@@ -134,7 +114,6 @@ class EngineConfig:
 
     plan: str | None = None
     n_shards: int | None = None
-    shard_executor: object | None = None
     dense_switch_factor: float = DENSE_SWITCH_FACTOR
     dense_switch_max_cells: int = DENSE_SWITCH_MAX_CELLS
     prune_min_partitions: int = PRUNE_MIN_PARTITIONS
@@ -153,21 +132,12 @@ class EngineConfig:
             )
         if self.wants_sharding and self.plan not in (None, PLAN_SHARDED):
             raise QueryError(
-                f"n_shards/shard_executor only apply to the "
+                f"n_shards only applies to the "
                 f"{PLAN_SHARDED!r} plan, not {self.plan!r}"
             )
         if self.n_shards is not None and self.n_shards < 1:
             raise QueryError(
                 f"n_shards must be >= 1, got {self.n_shards}"
-            )
-        if (
-            isinstance(self.shard_executor, str)
-            and self.shard_executor not in SHARD_EXECUTORS
-        ):
-            raise QueryError(
-                f"unknown shard_executor {self.shard_executor!r}; named "
-                f"modes: {', '.join(repr(m) for m in SHARD_EXECUTORS)} "
-                f"(or pass an ordered-map executor object)"
             )
         for attr in ("dense_switch_factor", "prune_overhead_pairs",
                      "prune_safety_factor"):
@@ -189,7 +159,7 @@ class EngineConfig:
     @property
     def wants_sharding(self) -> bool:
         """True when the config selects the sharded layout implicitly."""
-        return self.n_shards is not None or self.shard_executor is not None
+        return self.n_shards is not None
 
     def plan_cost(self) -> PlanCost:
         """This config's pruned-vs-broadcast cost rule, for the planner."""
@@ -264,17 +234,23 @@ class EngineConfig:
 
         E.g. ``REPRO_ENGINE_PLAN=sharded REPRO_ENGINE_N_SHARDS=4``.
         Unset variables keep ``base``'s values; empty strings are
-        treated as unset.
+        treated as unset.  A set ``REPRO_ENGINE_*`` variable that names
+        no settable field (a typo, or a retired knob) raises
+        :class:`ValidationError` instead of being silently ignored.
         """
         base = base if base is not None else cls()
         environ = os.environ if environ is None else environ
         pairs = []
-        for field in fields(cls):
-            if field.name not in _STRING_FIELDS:
+        for name, raw in environ.items():
+            if not name.startswith(ENV_PREFIX) or not raw:
                 continue
-            raw = environ.get(ENV_PREFIX + field.name.upper())
-            if raw:
-                pairs.append(f"{field.name}={raw}")
+            key = name[len(ENV_PREFIX):].lower()
+            if key not in _STRING_FIELDS or name != ENV_PREFIX + key.upper():
+                raise ValidationError(
+                    f"unknown engine-config environment variable {name!r}; "
+                    f"settable fields: {', '.join(sorted(_STRING_FIELDS))}"
+                )
+            pairs.append(f"{key}={raw}")
         if not pairs:
             return base
         return cls.from_string(",".join(pairs), base=base)

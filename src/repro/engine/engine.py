@@ -15,10 +15,10 @@ Routing (mirrors, and replaces, the old ``answer_arrays`` body):
 
 1. a forced ``config.plan`` wins, with the documented graceful fallback
    for ``pruned`` below the pruning threshold;
-2. ``config.n_shards`` / ``config.shard_executor`` select the sharded
-   layout for partition-backed outputs — dense-backed outputs (which
-   have no partition list to shard) fall through to their dense route
-   instead of erroring, so one config serves a mixed method set;
+2. ``config.n_shards`` selects the sharded layout for partition-backed
+   outputs — dense-backed outputs (which have no partition list to
+   shard) fall through to their dense route instead of erroring, so one
+   config serves a mixed method set;
 3. otherwise the cost model picks: dense prefix sums once the broadcast
    kernel's ``q × k × d`` work exceeds the prefix table's build (zero
    once it is cached) plus its ``q × 2^d`` corner gathers, else
@@ -31,9 +31,8 @@ facts instead of re-deriving them.
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -50,13 +49,13 @@ from ..core.private_matrix import (
     DENSE_FILL_PARTITION_COST,
     DENSE_QUERY_CORNER_COST,
 )
+from ..core.sharding import answer_sharded
 from .api import QueryAnswer, QueryRequest
 from .config import EngineConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.private_matrix import PrivateFrequencyMatrix
     from ..core.sharding import ShardedAnswer
-    from .worker_pool import ShardWorkerPool
 
 
 class Engine:
@@ -68,7 +67,7 @@ class Engine:
     engines over the same matrix share it.
     """
 
-    __slots__ = ("_private", "_config", "_pool", "_pool_lock")
+    __slots__ = ("_private", "_config")
 
     def __init__(
         self,
@@ -77,10 +76,6 @@ class Engine:
     ):
         self._private = private
         self._config = config if config is not None else EngineConfig()
-        # Lazily built ShardWorkerPool for shard_executor="resident";
-        # the lock makes concurrent first-touch spawn exactly one pool.
-        self._pool: "ShardWorkerPool | None" = None
-        self._pool_lock = threading.Lock()
 
     @property
     def private(self) -> "PrivateFrequencyMatrix":
@@ -92,80 +87,6 @@ class Engine:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Engine({self._private!r}, plan={self._config.plan!r})"
-
-    # ------------------------------------------------------------------
-    # Resident pool lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def uses_resident_pool(self) -> bool:
-        """True when sharded batches route through a worker pool."""
-        return (
-            self._config.shard_executor == "resident"
-            and not self._private.is_dense_backed
-        )
-
-    def shard_pool(self) -> "ShardWorkerPool":
-        """The engine's resident pool, spawning it on first use.
-
-        Only meaningful with ``config.shard_executor == "resident"``;
-        the pool is built from the matrix's cached shard split, so its
-        answers are bit-identical to serial sharded execution.  After
-        :meth:`close` a new pool is spawned on the next call.
-        """
-        if not self.uses_resident_pool:
-            raise QueryError(
-                "shard_pool() requires shard_executor='resident' and a "
-                "partition-backed private matrix"
-            )
-        pool = self._pool
-        if pool is not None and not pool.closed:
-            return pool
-        with self._pool_lock:
-            if self._pool is None or self._pool.closed:
-                from .worker_pool import ShardWorkerPool
-
-                self._pool = ShardWorkerPool(
-                    self._private.packed,
-                    self._config.n_shards,
-                    cost=self._config.plan_cost(),
-                )
-            return self._pool
-
-    def warm_shard_pool(self) -> bool:
-        """Spawn the resident pool now (if configured); True if warm.
-
-        Servers call this once at startup from the main thread, so
-        worker processes are never forked from a serving thread and the
-        first request pays no spawn latency.
-        """
-        if not self.uses_resident_pool:
-            return False
-        self.shard_pool()
-        return True
-
-    def pool_stats(self) -> "Dict[str, object] | None":
-        """Worker gauges for ``/statz``; ``None`` without a live pool."""
-        pool = self._pool
-        if pool is None or pool.closed:
-            return None
-        return pool.stats()
-
-    def close(self) -> None:
-        """Shut down the resident pool (if any); idempotent.
-
-        The engine remains usable — a later sharded batch simply spawns
-        a fresh pool.  Non-pool state (matrix caches) is untouched.
-        """
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown()
-
-    def __enter__(self) -> "Engine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Planning
@@ -254,50 +175,6 @@ class Engine:
         """
         return self._execute(lows, highs)[0]
 
-    def answer_sharded(
-        self, lows: np.ndarray, highs: np.ndarray
-    ) -> "ShardedAnswer":
-        """Sharded answering with full per-shard evidence.
-
-        Forces the sharded layout regardless of ``config.plan``, using
-        the config's shard count/executor, and returns the raw
-        :class:`~repro.core.sharding.ShardedAnswer`.  Raises for
-        dense-backed outputs, which have no partition list to shard.
-        """
-        private = self._private
-        if private.is_dense_backed:
-            raise QueryError(
-                "the sharded plan needs a partition list; this private "
-                "matrix is dense-backed"
-            )
-        lows, highs = validate_box_arrays(lows, highs, private.shape)
-        return self._sharded_answer(lows, highs)
-
-    def _sharded_answer(
-        self, lows: np.ndarray, highs: np.ndarray
-    ) -> "ShardedAnswer":
-        """Run the sharded layout through the configured executor.
-
-        ``"resident"`` dispatches to the persistent worker pool;
-        ``"serial"`` (or ``None``) answers shards in-process; a live
-        executor object fans out through its ordered ``map``.  All
-        three merge partials in fixed shard order, so the answers are
-        bit-identical across executors.
-        """
-        cfg = self._config
-        if self.uses_resident_pool:
-            return self.shard_pool().answer(lows, highs)
-        executor = cfg.shard_executor
-        if executor == "serial":
-            executor = None
-        return self._private.packed.answer_sharded_arrays(
-            lows,
-            highs,
-            n_shards=cfg.n_shards,
-            executor=executor,
-            cost=cfg.plan_cost(),
-        )
-
     def _execute(
         self, lows: np.ndarray, highs: np.ndarray
     ) -> Tuple[np.ndarray, str, "ShardedAnswer | None"]:
@@ -333,7 +210,9 @@ class Engine:
         if plan == PLAN_SHARDED:
             # Even an empty batch runs the sharded route, so callers
             # get the per-shard evidence (every shard trivially skips).
-            sharded = self._sharded_answer(lows, highs)
+            sharded = answer_sharded(
+                packed, lows, highs, n_shards=cfg.n_shards, cost=cost
+            )
             return sharded.answers, plan, sharded
         if plan == PLAN_BROADCAST:
             return (

@@ -16,10 +16,8 @@ schemas in ``docs/SERVING.md``):
 * ``GET /healthz`` — liveness; 200 while serving, 503 while draining.
 * ``GET /statz`` — monotone serving counters plus gauges: latency
   percentiles, tick-size distribution, queue depth, the event-loop
-  lag measured by :class:`LoopLagMonitor`, whether the engine's dense
-  prefix table is cached, and — when the engine runs a
-  resident :class:`~repro.engine.ShardWorkerPool` — worker gauges
-  (alive count, restarts, queue depth, per-worker batch counts).
+  lag measured by :class:`LoopLagMonitor`, and whether the engine's
+  dense prefix table is cached.
 
 **Off-loop kernels.**  With ``off_loop=True`` (the default) each
 flushed tick's engine invocation is dispatched through
@@ -219,6 +217,7 @@ class EngineServer:
             "bad_requests": 0,
             "rejected_oversized": 0,
             "rejected_queue_full": 0,
+            "rejected_draining": 0,
             "timeouts": 0,
             "client_disconnects": 0,
             "not_found": 0,
@@ -259,14 +258,6 @@ class EngineServer:
             max_batch_latency=self._max_batch_latency,
             executor=self._executor if self.off_loop else None,
         )
-        # Spawn the resident shard-worker pool (when configured) before
-        # accepting traffic: workers fork from this thread, not from a
-        # tick thread mid-request, and the first query pays no spawn
-        # latency.  No-op for other executors; guarded with getattr so
-        # duck-typed engine stand-ins keep working.
-        warm = getattr(self.engine, "warm_shard_pool", None)
-        if warm is not None:
-            warm()
         self._draining = False
         self._started_at = time.time()
         self.monitor.start()
@@ -292,12 +283,6 @@ class EngineServer:
         if self._own_executor and self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        # After the tick executor is gone no kernel can touch the pool;
-        # stop its workers and unlink the shm segment (idempotent, and
-        # a no-op for non-resident executors).
-        close = getattr(self.engine, "close", None)
-        if close is not None:
-            close()
         for writer in tuple(self._connections):
             writer.close()
 
@@ -459,6 +444,7 @@ class EngineServer:
     async def _query(self, body: bytes) -> Tuple[int, dict, "List[str] | None"]:
         self._counters["requests_total"] += 1
         if self._draining:
+            self._counters["rejected_draining"] += 1
             return (
                 503,
                 {"error": "server is draining"},
@@ -601,8 +587,4 @@ class EngineServer:
             "engine": {
                 "dense_table_cached": self.engine.private.dense_table_cached,
             },
-            # Resident shard-worker gauges (null unless the engine is
-            # running a ShardWorkerPool): alive count, restarts, queue
-            # depth, per-worker batch counts.
-            "workers": getattr(self.engine, "pool_stats", lambda: None)(),
         }

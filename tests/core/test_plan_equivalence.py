@@ -1,4 +1,4 @@
-"""Cross-plan equivalence: dense ≡ broadcast ≡ pruned ≡ sharded ≡ resident.
+"""Cross-plan equivalence: dense ≡ broadcast ≡ pruned ≡ sharded.
 
 Every strategy the engine can route a batch through must compute the
 same answers — the plan is a choice of *route*, never of *result*.  The
@@ -9,16 +9,6 @@ sanitizers emit (uniform grid, AG, quadtree, kd-tree, DAF), shard counts
 inputs that historically break query engines: empty batches, full-domain
 queries, single cells, and shard counts exceeding the partition count.
 
-The sixth column is the resident shard-worker pool
-(``shard_executor="resident"``, :class:`~repro.engine.ShardWorkerPool`):
-worker processes answering over shared-memory shards must be
-**bit-identical** to serial sharded evaluation — asserted with
-``assert_array_equal``, not a tolerance — because the workers read the
-very same shard arrays through shm, do no RNG work of their own, and
-the parent merges partials in fixed shard order.  The CI resident leg
-re-runs this module with ``REPRO_ENGINE_SHARD_EXECUTOR=resident`` (see
-``test_env_forced_executor_is_exercised``).
-
 All routing goes through the :mod:`repro.engine` facade (an
 :class:`~repro.engine.Engine` per forced
 :class:`~repro.engine.EngineConfig`) — the deprecated kwarg shims have
@@ -26,7 +16,7 @@ their own regression suite in ``tests/engine/test_deprecation.py``.
 
 The suite also carries the skip-counter acceptance criterion (a shard
 whose candidate bound is empty must provably skip the gather, observable
-via :attr:`~repro.core.sharding.ShardedAnswer.skipped_shards`) and the
+via :attr:`~repro.engine.QueryAnswer.skipped_shards`) and the
 regression test for the forced-``pruned`` graceful fallback on matrices
 below :data:`~repro.core.interval_index.PRUNE_MIN_PARTITIONS`.
 """
@@ -57,7 +47,6 @@ from repro.core import (
 )
 from repro.core.interval_index import PRUNE_MIN_PARTITIONS
 from repro.engine import Engine, EngineConfig, QueryRequest
-from repro.experiments.parallel import ProcessPoolTrialExecutor
 from repro.methods import get_sanitizer
 from repro.methods._grid import axis_intervals
 from repro.queries import WorkloadEvaluator, random_workload
@@ -78,22 +67,16 @@ ENV_N_SHARDS = int(_env) if _env else None
 if ENV_N_SHARDS is not None and ENV_N_SHARDS not in SHARD_COUNTS:
     SHARD_COUNTS.append(ENV_N_SHARDS)
 
-#: The CI resident leg forces the shard executor the same way, so the
-#: worker-pool column runs against the env-forced K on every push.
-ENV_SHARD_EXECUTOR = os.environ.get("REPRO_ENGINE_SHARD_EXECUTOR") or None
-
 
 def engine_answers(private, lows, highs, **config):
     """Answers through an :class:`Engine` forced to ``config``."""
     return Engine(private, EngineConfig(**config)).answer_arrays(lows, highs)
 
 
-def sharded_evidence(private, lows, highs, *, n_shards=None, executor=None):
-    """A :class:`~repro.core.sharding.ShardedAnswer` via the facade."""
-    return Engine(
-        private,
-        EngineConfig(n_shards=n_shards, shard_executor=executor),
-    ).answer_sharded(lows, highs)
+def sharded_evidence(private, lows, highs, *, n_shards=None):
+    """A sharded :class:`~repro.engine.QueryAnswer` via the facade."""
+    config = EngineConfig(plan=PLAN_SHARDED, n_shards=n_shards)
+    return Engine(private, config).answer(QueryRequest(lows, highs))
 
 
 def sanitized_private(method, shape, data_seed, noise_seed, epsilon):
@@ -193,14 +176,9 @@ class TestShardEdgeCases:
     def test_empty_batch(self):
         private = grid_private(shape=(16, 16), m=4)  # 16 partitions
         empty = np.empty((0, 2), dtype=np.int64)
-        result = sharded_evidence(private, empty, empty, n_shards=3)
-        assert result.answers.size == 0
-        assert result.skipped_shards == result.n_shards == 3
-        answer = Engine(private, EngineConfig(n_shards=3)).answer(
-            QueryRequest(empty, empty)
-        )
+        answer = sharded_evidence(private, empty, empty, n_shards=3)
         assert answer.answers.size == 0 and answer.plan == PLAN_SHARDED
-        assert answer.skipped_shards == 3  # evidence survives the facade
+        assert answer.skipped_shards == answer.n_shards == 3
 
     def test_shard_count_exceeding_partition_count(self):
         private = sanitized_private("kdtree", (16, 16), 2, 3, 0.5)
@@ -245,8 +223,6 @@ class TestShardEdgeCases:
             Engine(dense, EngineConfig(plan=PLAN_SHARDED)).answer(
                 QueryRequest(one, one)
             )
-        with pytest.raises(QueryError, match="dense-backed"):
-            Engine(dense, EngineConfig(n_shards=2)).answer_sharded(one, one)
 
 
 class TestShardSkipping:
@@ -266,11 +242,11 @@ class TestShardSkipping:
         highs = np.minimum(highs, [[31, 255]])
         result = sharded_evidence(private, lows, highs, n_shards=8)
         assert result.skipped_shards > 0
-        assert result.plans.count(SHARD_SKIPPED) == result.skipped_shards
+        assert result.shard_plans.count(SHARD_SKIPPED) == result.skipped_shards
         # Every skip is provable: brute-force overlap over the shard's
         # partition range finds nothing.
         lo, hi = packed.lo, packed.hi
-        for (start, stop), plan in zip(result.bounds, result.plans):
+        for (start, stop), plan in zip(result.shard_bounds, result.shard_plans):
             overlaps = np.logical_and(
                 lo[None, start:stop, :] <= highs[:, None, :],
                 hi[None, start:stop, :] >= lows[:, None, :],
@@ -293,7 +269,7 @@ class TestShardSkipping:
         assert result.skipped_shards == 0
 
     def test_query_answer_carries_shard_evidence(self):
-        """The facade's QueryAnswer exposes the per-shard plans."""
+        """The facade's QueryAnswer exposes the core function's evidence."""
         private = grid_private()
         rng = np.random.default_rng(17)
         lows = np.stack(
@@ -304,7 +280,8 @@ class TestShardSkipping:
         answer = Engine(private, EngineConfig(n_shards=8)).answer(
             QueryRequest(lows, highs)
         )
-        evidence = sharded_evidence(private, lows, highs, n_shards=8)
+        evidence = answer_sharded(private.packed, lows, highs, n_shards=8)
+        np.testing.assert_array_equal(answer.answers, evidence.answers)
         assert answer.shard_plans == evidence.plans
         assert answer.shard_bounds == evidence.bounds
         assert answer.skipped_shards == evidence.skipped_shards > 0
@@ -312,26 +289,7 @@ class TestShardSkipping:
 
 
 class TestShardExecutors:
-    """Shards compute identical partials serially and across a pool."""
-
-    def test_process_pool_matches_serial(self):
-        private = grid_private(shape=(64, 64), m=16)
-        rng = np.random.default_rng(11)
-        lows, highs = boxes_to_arrays(
-            degenerate_and_random_queries((64, 64), rng, n_random=20)
-        )
-        serial = sharded_evidence(private, lows, highs, n_shards=3)
-        pooled = sharded_evidence(
-            private, lows, highs, n_shards=3,
-            executor=ProcessPoolTrialExecutor(2),
-        )
-        np.testing.assert_array_equal(serial.answers, pooled.answers)
-        assert serial.plans == pooled.plans
-        assert serial.bounds == pooled.bounds
-
-    def test_executor_map_preserves_order(self):
-        items = list(range(7))
-        assert ProcessPoolTrialExecutor(2).map(abs, items) == items
+    """Shards run in-process and are reused across batches."""
 
     def test_shards_are_cached_per_effective_count(self):
         packed = grid_private(shape=(64, 64), m=16).packed
@@ -347,92 +305,12 @@ class TestShardExecutors:
                 (64, 64), np.random.default_rng(12), n_random=5
             )
         )
-        packed.answer_sharded_arrays(lows, highs, n_shards=4)
+        answer_sharded(packed, lows, highs, n_shards=4)
         assert packed.split_shards(4) is first
-
-
-class TestResidentPool:
-    """Sixth column: the resident shm worker pool ≡ serial, bit for bit.
-
-    Workers answer over shared-memory views of the *same* shard arrays
-    the serial path reads and never touch RNG state, so the comparison
-    is exact equality (``assert_array_equal``) — any nonzero diff means
-    a worker re-derived something it should have shared.
-    """
-
-    @pytest.mark.parametrize("method", METHODS)
-    def test_resident_matches_serial_across_shard_counts(self, method):
-        private = sanitized_private(method, (28, 26), 11, 13, 0.5)
-        lows, highs = boxes_to_arrays(
-            degenerate_and_random_queries(
-                (28, 26), np.random.default_rng(2), n_random=15
-            )
-        )
-        for n_shards in SHARD_COUNTS:
-            serial = sharded_evidence(
-                private, lows, highs, n_shards=n_shards, executor="serial"
-            )
-            engine = Engine(
-                private,
-                EngineConfig(n_shards=n_shards, shard_executor="resident"),
-            )
-            try:
-                resident = engine.answer_sharded(lows, highs)
-                # The facade route reuses the same (already-warm) pool.
-                answer = engine.answer(QueryRequest(lows, highs))
-            finally:
-                engine.close()
-            np.testing.assert_array_equal(
-                resident.answers, serial.answers,
-                err_msg=f"resident(K={n_shards}, {method}) != serial",
-            )
-            assert resident.plans == serial.plans
-            assert resident.bounds == serial.bounds
-            np.testing.assert_array_equal(answer.answers, serial.answers)
-            assert answer.plan == PLAN_SHARDED
-            assert answer.shard_plans == serial.plans
-
-    def test_resident_empty_batch_reports_skips_without_dispatch(self):
-        private = grid_private(shape=(16, 16), m=4)
-        empty = np.empty((0, 2), dtype=np.int64)
-        engine = Engine(
-            private, EngineConfig(n_shards=3, shard_executor="resident")
-        )
-        try:
-            result = engine.answer_sharded(empty, empty)
-            assert result.answers.size == 0
-            assert result.skipped_shards == result.n_shards == 3
-            stats = engine.pool_stats()
-            assert stats["worker_batches"] == [0, 0, 0]  # never dispatched
-        finally:
-            engine.close()
-
-    @pytest.mark.skipif(
-        ENV_SHARD_EXECUTOR is None,
-        reason="REPRO_ENGINE_SHARD_EXECUTOR not set",
-    )
-    def test_env_forced_executor_is_exercised(self):
-        """The CI resident leg's env-forced executor flows end to end."""
-        private = sanitized_private("quadtree", (24, 24), 9, 7, 0.5)
-        lows, highs = boxes_to_arrays(
-            degenerate_and_random_queries(
-                (24, 24), np.random.default_rng(6), n_random=10
-            )
-        )
-        config = EngineConfig.from_env()
-        assert config.shard_executor == ENV_SHARD_EXECUTOR
-        engine = Engine(private, config)
-        try:
-            answer = engine.answer(QueryRequest(lows, highs))
-        finally:
-            engine.close()
-        assert answer.plan == PLAN_SHARDED  # executor alone selects it
-        np.testing.assert_allclose(
-            answer.answers,
-            engine_answers(private, lows, highs, plan=PLAN_BROADCAST),
-            rtol=0,
-            atol=1e-9,
-        )
+        # The uncached split_shards makes the same split.
+        assert [(s.start, s.stop) for s in split_shards(packed, 4)] == [
+            (s.start, s.stop) for s in first
+        ]
 
 
 class TestForcedPrunedFallback:
@@ -503,60 +381,21 @@ class TestEvaluatorAndRunnerPlumbing:
         private = get_sanitizer("kdtree").sanitize(matrix, 0.5, 7)
         workload = random_workload(matrix.shape, 40, rng=3)
         plain = WorkloadEvaluator(matrix).evaluate(private, workload)
-        sharded = WorkloadEvaluator(matrix, n_shards=3).evaluate(
-            private, workload
-        )
+        sharded = WorkloadEvaluator(
+            matrix, engine_config=EngineConfig(n_shards=3)
+        ).evaluate(private, workload)
         assert sharded.plan == PLAN_SHARDED
         assert len(sharded.shard_plans) == min(3, private.n_partitions)
         assert sharded.report.mre == pytest.approx(plain.report.mre, abs=1e-6)
-
-    def test_evaluator_engine_config_matches_legacy_kwargs(self):
-        rng = np.random.default_rng(15)
-        matrix = FrequencyMatrix(rng.poisson(3.0, (24, 24)).astype(float))
-        private = get_sanitizer("quadtree").sanitize(matrix, 0.5, 7)
-        workload = random_workload(matrix.shape, 30, rng=3)
-        legacy = WorkloadEvaluator(matrix, n_shards=3).evaluate(
-            private, workload
-        )
-        explicit = WorkloadEvaluator(
-            matrix, engine_config=EngineConfig(n_shards=3)
-        ).evaluate(private, workload)
-        assert legacy == explicit
-        with pytest.raises(QueryError, match="not both"):
-            WorkloadEvaluator(
-                matrix, n_shards=3, engine_config=EngineConfig()
-            )
-
-    def test_evaluator_shard_executor_alone_selects_sharded(self):
-        # Matching the engine's config semantics: configuring only the
-        # executor still routes through the sharded plan (at the
-        # default shard count).
-        rng = np.random.default_rng(13)
-        matrix = FrequencyMatrix(rng.poisson(3.0, (24, 24)).astype(float))
-        private = get_sanitizer("kdtree").sanitize(matrix, 0.5, 7)
-        workload = random_workload(matrix.shape, 30, rng=3)
-
-        class CountingMap:
-            calls = 0
-
-            def map(self, fn, items):
-                CountingMap.calls += 1
-                return [fn(item) for item in items]
-
-        result = WorkloadEvaluator(
-            matrix, shard_executor=CountingMap()
-        ).evaluate(private, workload)
-        assert result.plan == PLAN_SHARDED
-        assert CountingMap.calls == 1
 
     def test_evaluator_keeps_dense_route_for_dense_backed(self):
         rng = np.random.default_rng(6)
         matrix = FrequencyMatrix(rng.poisson(3.0, (16, 16)).astype(float))
         private = get_sanitizer("identity").sanitize(matrix, 0.5, 7)
         workload = random_workload(matrix.shape, 20, rng=3)
-        result = WorkloadEvaluator(matrix, n_shards=3).evaluate(
-            private, workload
-        )
+        result = WorkloadEvaluator(
+            matrix, engine_config=EngineConfig(n_shards=3)
+        ).evaluate(private, workload)
         assert result.plan == PLAN_DENSE
         assert result.shard_plans == ()
 
@@ -572,34 +411,11 @@ class TestEvaluatorAndRunnerPlumbing:
             [0.5],
             [workload],
             rng=1,
-            n_shards=2,
+            engine_config=EngineConfig(n_shards=2),
         )
         plans = {r.method: r.plan for r in rows}
         assert plans["kdtree"] == PLAN_SHARDED
         assert plans["identity"] == PLAN_DENSE  # dense-backed: no shards
-
-    def test_run_methods_engine_config_equivalent_and_exclusive(self):
-        from repro.experiments import default_method_specs, run_methods
-        from repro.core import ValidationError
-
-        rng = np.random.default_rng(21)
-        matrix = FrequencyMatrix(rng.poisson(3.0, (20, 20)).astype(float))
-        workload = random_workload(matrix.shape, 25, rng=4)
-        specs = default_method_specs(["kdtree"])
-        legacy = run_methods(
-            matrix, specs, [0.5], [workload], rng=1, n_shards=2
-        )
-        explicit = run_methods(
-            matrix, specs, [0.5], [workload], rng=1,
-            engine_config=EngineConfig(n_shards=2),
-        )
-        assert [r.report for r in legacy] == [r.report for r in explicit]
-        assert [r.plan for r in legacy] == [r.plan for r in explicit]
-        with pytest.raises(ValidationError, match="not both"):
-            run_methods(
-                matrix, specs, [0.5], [workload], rng=1,
-                n_shards=2, engine_config=EngineConfig(n_shards=2),
-            )
 
     @pytest.mark.skipif(
         ENV_N_SHARDS is None, reason="REPRO_TEST_N_SHARDS not set"
@@ -618,19 +434,3 @@ class TestEvaluatorAndRunnerPlumbing:
             rtol=0,
             atol=1e-9,
         )
-
-
-def test_answer_sharded_function_matches_method():
-    """The module-level entry point and packed method agree."""
-    private = grid_private(shape=(64, 64), m=16)
-    lows, highs = boxes_to_arrays(
-        degenerate_and_random_queries(
-            (64, 64), np.random.default_rng(10), n_random=10
-        )
-    )
-    via_fn = answer_sharded(private.packed, lows, highs, n_shards=5)
-    via_method = private.packed.answer_sharded_arrays(
-        lows, highs, n_shards=5
-    )
-    np.testing.assert_array_equal(via_fn.answers, via_method.answers)
-    assert len(split_shards(private.packed, 5)) == 5

@@ -12,7 +12,7 @@ from repro.core.private_matrix import (
     DENSE_SWITCH_FACTOR,
     DENSE_SWITCH_MAX_CELLS,
 )
-from repro.engine import ENGINE_PLANS, SHARD_EXECUTORS, EngineConfig
+from repro.engine import ENGINE_PLANS, EngineConfig
 
 
 class TestDefaultsAndValidation:
@@ -35,9 +35,6 @@ class TestDefaultsAndValidation:
 
     def test_sharding_knobs_imply_sharded_only(self):
         assert EngineConfig(n_shards=3).wants_sharding
-        assert EngineConfig(shard_executor=object()).wants_sharding
-        assert EngineConfig(shard_executor="serial").wants_sharding
-        assert EngineConfig(shard_executor="resident").wants_sharding
         assert EngineConfig(plan="sharded", n_shards=3).n_shards == 3
         with pytest.raises(QueryError, match="sharded"):
             EngineConfig(plan="broadcast", n_shards=3)
@@ -119,26 +116,6 @@ class TestStringOverrides:
         with pytest.raises(ValidationError, match=match):
             EngineConfig.parse_overrides(text)
 
-    @pytest.mark.parametrize("mode", SHARD_EXECUTORS)
-    def test_shard_executor_named_modes_parse(self, mode):
-        config = EngineConfig.from_string(f"shard_executor={mode}")
-        assert config.shard_executor == mode
-        assert config.wants_sharding  # executor alone selects sharding
-
-    def test_shard_executor_unknown_name_rejected(self):
-        # Parses (it's a known string field) but fails config
-        # validation, like an unknown plan name.
-        with pytest.raises(QueryError, match="unknown shard_executor"):
-            EngineConfig.from_string("shard_executor=turbo")
-        with pytest.raises(QueryError, match="unknown shard_executor"):
-            EngineConfig(shard_executor="turbo")
-
-    def test_shard_executor_cleared_with_none(self):
-        base = EngineConfig(shard_executor="resident")
-        cleared = EngineConfig.from_string("shard_executor=none", base=base)
-        assert cleared.shard_executor is None
-        assert not cleared.wants_sharding
-
 
 class TestEnvOverrides:
     def test_env_vars_override(self):
@@ -162,3 +139,19 @@ class TestEnvOverrides:
     def test_real_environ_consulted(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_PRUNE_SAFETY_FACTOR", "3.5")
         assert EngineConfig.from_env().prune_safety_factor == 3.5
+
+    @pytest.mark.parametrize("name", [
+        "REPRO_ENGINE_PLAM",  # a typo of PLAN
+        "REPRO_ENGINE_SHARD_EXECUTOR",  # a retired knob
+        "REPRO_ENGINE_plan",  # fields are spelled in upper case
+    ])
+    def test_unknown_env_vars_rejected(self, name):
+        with pytest.raises(ValidationError, match=name) as excinfo:
+            EngineConfig.from_env(environ={name: "dense"})
+        assert "settable fields" in str(excinfo.value)
+        assert "n_shards" in str(excinfo.value)
+
+    def test_unrelated_env_vars_ignored(self):
+        environ = {"REPRO_ENGINE_PLAM": "", "REPRO_TEST_N_SHARDS": "3",
+                   "PATH": "/bin"}
+        assert EngineConfig.from_env(environ=environ) == EngineConfig()

@@ -3,8 +3,8 @@
 The kwarg-era ``PrivateFrequencyMatrix.answer_arrays`` /
 ``answer_sharded`` shims are gone; :class:`repro.engine.Engine` is the
 one query surface.  The paths the library itself takes — batch
-answering, planning, workload evaluation with the legacy ``n_shards``
-keyword — must not emit a :class:`DeprecationWarning`.
+answering, planning, workload evaluation under a sharded
+``engine_config`` — must not emit a :class:`DeprecationWarning`.
 """
 
 import warnings
@@ -37,6 +37,7 @@ class TestInternalPathsDoNotWarn:
             )
 
     def test_evaluator_is_warning_free(self, private):
+        from repro.engine import EngineConfig
         from repro.queries import WorkloadEvaluator, random_workload
 
         rng = np.random.default_rng(11)
@@ -44,4 +45,6 @@ class TestInternalPathsDoNotWarn:
         workload = random_workload(SHAPE, 20, rng=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            WorkloadEvaluator(matrix, n_shards=2).evaluate(private, workload)
+            WorkloadEvaluator(
+                matrix, engine_config=EngineConfig(n_shards=2)
+            ).evaluate(private, workload)

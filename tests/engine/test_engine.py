@@ -199,15 +199,14 @@ class TestConfigThresholds:
         lows, highs = random_bounds(
             (256, 256), 40, np.random.default_rng(8), extent=2
         )
-        sharded = Engine(private, EngineConfig(n_shards=2)).answer_sharded(
-            lows, highs
-        )
-        assert PLAN_PRUNED in sharded.plans  # default rule prunes shards
+        request = QueryRequest(lows, highs)
+        sharded = Engine(private, EngineConfig(n_shards=2)).answer(request)
+        assert PLAN_PRUNED in sharded.shard_plans  # default rule prunes shards
         blunt = Engine(
             private,
             EngineConfig(n_shards=2, prune_min_partitions=10_000),
-        ).answer_sharded(lows, highs)
-        assert all(p != PLAN_PRUNED for p in blunt.plans)
+        ).answer(request)
+        assert all(p != PLAN_PRUNED for p in blunt.shard_plans)
         np.testing.assert_allclose(
             sharded.answers, blunt.answers, rtol=0, atol=1e-9
         )

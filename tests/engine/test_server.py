@@ -30,6 +30,16 @@ from repro.methods._grid import axis_intervals
 
 SHAPE = (128, 128)
 
+#: The /statz counters that together account for every POST /v1/query.
+OUTCOMES = (
+    "answered_requests",
+    "bad_requests",
+    "rejected_oversized",
+    "rejected_queue_full",
+    "rejected_draining",
+    "timeouts",
+)
+
 
 def grid_private(m=32):
     rng = np.random.default_rng(0)
@@ -279,15 +289,39 @@ class TestBadRequests:
 
         statuses, counters = asyncio.run(run())
         assert statuses == [200, 400, 400, 400, 400, 413, 200]
-        outcomes = (
-            "answered_requests",
-            "bad_requests",
-            "rejected_oversized",
-            "rejected_queue_full",
-            "timeouts",
-        )
         assert counters["requests_total"] == len(bodies)
-        assert counters["requests_total"] == sum(counters[k] for k in outcomes)
+        assert counters["requests_total"] == sum(counters[k] for k in OUTCOMES)
+
+    def test_outcome_counters_reconcile_while_draining(self, engine):
+        slow = SlowEngine(engine, delay=0.3)
+        body = json.dumps({"lows": [[0, 0]], "highs": [[3, 3]]}).encode()
+
+        async def run():
+            server = serve(slow, max_batch_size=1)
+            await server.start()
+            idle = AsyncServingClient(port=server.port)
+            busy = AsyncServingClient(port=server.port)
+            await idle.request("GET", "/healthz")  # open a keep-alive socket
+            inflight = asyncio.ensure_future(busy.query([[0, 0]], [[1, 1]]))
+            while server._in_progress < 1:
+                await asyncio.sleep(0.005)
+            shutdown = asyncio.ensure_future(server.shutdown())
+            while not server.draining:
+                await asyncio.sleep(0.005)
+            # The listener is closed; the open connection meets the drain.
+            status, _, _ = await idle.request("POST", "/v1/query", body)
+            await inflight
+            await shutdown
+            await idle.close()
+            await busy.close()
+            return status, server.statz()["counters"]
+
+        status, counters = asyncio.run(run())
+        assert status == 503
+        assert counters["rejected_draining"] == 1
+        assert counters["answered_requests"] == 1
+        assert counters["requests_total"] == 2
+        assert counters["requests_total"] == sum(counters[k] for k in OUTCOMES)
 
     def test_out_of_range_query_is_400(self, engine):
         async def run():

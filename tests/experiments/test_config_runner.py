@@ -43,21 +43,18 @@ class TestScale:
             ExperimentScale("x", 0, 1, 1, 1, 1)
 
     def test_n_shards_validation(self):
-        with pytest.raises(ValidationError):
-            ExperimentScale("x", 1, 1, 1, 1, 1, n_shards=0)
-        assert ExperimentScale("x", 1, 1, 1, 1, 1).n_shards is None
-        s = TINY_SCALE.with_overrides(n_shards=3)
-        assert s.n_shards == 3
-
-    def test_engine_config_exclusive_with_n_shards(self):
+        # The shard count lives on the engine config alone, which
+        # validates it; the scale has no n_shards shorthand.
+        from repro.core import QueryError
         from repro.engine import EngineConfig
 
+        with pytest.raises(QueryError, match="n_shards"):
+            TINY_SCALE.with_overrides(engine_config=EngineConfig(n_shards=0))
         s = TINY_SCALE.with_overrides(engine_config=EngineConfig(n_shards=3))
         assert s.engine_config.n_shards == 3
-        with pytest.raises(ValidationError, match="not both"):
-            TINY_SCALE.with_overrides(
-                n_shards=3, engine_config=EngineConfig()
-            )
+        assert ExperimentScale("x", 1, 1, 1, 1, 1).engine_config is None
+        with pytest.raises(TypeError):
+            TINY_SCALE.with_overrides(n_shards=3)
 
 
 class TestMethodSpec:

@@ -25,12 +25,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "figure99"])
 
-    def test_figure_n_shards_flag(self):
-        args = build_parser().parse_args(
-            ["figure", "table3", "--n-shards", "3"]
-        )
-        assert args.n_shards == 3
-        assert build_parser().parse_args(["figure", "table3"]).n_shards is None
+    @pytest.mark.parametrize("argv", [
+        ["figure", "table3", "--n-shards", "3"],
+        ["serve", "--n-shards", "3"],
+    ], ids=["figure", "serve"])
+    def test_retired_shard_flags_rejected(self, argv):
+        # The shard count is set only through --engine-config n_shards=K.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -119,18 +121,9 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "daf_entropy" in out
 
-    def test_figure_with_forced_sharding(self, capsys):
+    def test_figure_with_engine_config(self, capsys):
         # The sharded engine end-to-end through the CLI: partitioned
         # methods must report plan=sharded in the rendered rows.
-        code = main(
-            ["figure", "table3", "--scale", "tiny", "--n-shards", "2"]
-        )
-        assert code == 0
-        assert "sharded" in capsys.readouterr().out
-
-    def test_figure_with_engine_config(self, capsys):
-        # The full EngineConfig path: a sharded config through
-        # --engine-config instead of the legacy --n-shards knob.
         # n_shards alone (no forced plan) lets dense-backed methods in
         # the mixed set keep their dense route.
         code = main([

@@ -38,10 +38,8 @@ Usage::
     PYTHONPATH=src python tools/loadtest.py --ci       # short CI burst
     PYTHONPATH=src python tools/loadtest.py --url http://127.0.0.1:8080
 
-    # serve through the resident shard-worker pool (docs/WORKERS.md):
-    # pins plan=sharded, records served p50/p95 with the pool enabled,
-    # and verifies pool answers ≡ in-process serial at exactly 0.0
-    PYTHONPATH=src python tools/loadtest.py --ci --shard-executor resident
+    # serve through the sharded plan with 4 shards (pins plan=sharded)
+    PYTHONPATH=src python tools/loadtest.py --ci --n-shards 4
 
 With ``--url`` the harness replays the throughput phase against an
 already-running server (booted with the same ``--bench-substrate`` /
@@ -82,10 +80,8 @@ ARTIFACT = REPO_ROOT / "BENCH_serving.json"
 #: The serving plan is pinned for the whole harness: determinism lever
 #: (bit-identical HTTP vs in-process answers) and the kernel whose
 #: per-tick cost scales predictably with q·k for the heavy phase.
-#: ``--shard-executor``/``--n-shards`` switch the pin to ``sharded``
-#: (the only plan those knobs apply to) — still pinned, still
-#: deterministic, and with the resident pool the exactness check then
-#: verifies pool answers ≡ serial shard evaluation through HTTP.
+#: ``--n-shards`` switches the pin to ``sharded`` (the only plan that
+#: knob applies to) — still pinned, still deterministic.
 PLAN = "broadcast"
 
 
@@ -173,13 +169,9 @@ def spawn_server(args, off_loop: bool) -> "tuple[subprocess.Popen, int]":
         "--bench-substrate", str(args.grid_m),
         "--bench-shape", str(args.shape),
         "--seed", str(args.seed),
-        "--engine-config", f"plan={args.plan}",
+        "--engine-config", f"plan={args.plan},n_shards={args.n_shards}",
         "--request-timeout", str(args.timeout),
     ]
-    if args.shard_executor:
-        cmd += ["--shard-executor", args.shard_executor]
-    if args.n_shards is not None:
-        cmd += ["--n-shards", str(args.n_shards)]
     if not off_loop:
         cmd.append("--no-off-loop")
     env = dict(os.environ)
@@ -310,14 +302,7 @@ def drive_server(
 
 
 def build_reference(args) -> Engine:
-    """The bit-identical in-process engine the servers were booted from.
-
-    Deliberately never uses the resident pool itself: with
-    ``--shard-executor resident`` the server answers through worker
-    processes while the reference evaluates the same shards serially
-    in-process, so the 0.0-drift check doubles as an end-to-end
-    pool ≡ serial bit-identity assertion.
-    """
+    """The bit-identical in-process engine the servers were booted from."""
     private = grid_substrate(
         shape=(args.shape, args.shape), m=args.grid_m, seed=args.seed
     )
@@ -349,14 +334,9 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--grid-m", type=int, default=64,
                         help="substrate grid: k = m^2 partitions")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--shard-executor", default=None,
-                        choices=["serial", "resident"],
-                        help="serve through the sharded plan with this "
-                             "executor (resident = persistent worker pool "
-                             "on shared-memory shards; pins plan=sharded)")
     parser.add_argument("--n-shards", type=int, default=None,
-                        help="shard count for --shard-executor runs "
-                             "(pins plan=sharded)")
+                        help="serve through the sharded plan with this "
+                             "many shards (pins plan=sharded)")
     parser.add_argument("--timeout", type=float, default=120.0)
     parser.add_argument("--responsiveness-floor", type=float, default=5.0,
                         help="required on-loop/off-loop max-lag ratio")
@@ -368,14 +348,10 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--ci", action="store_true",
                         help="shrink the run for CI (fewer clients/requests)")
     args = parser.parse_args(argv)
-    # Sharding knobs only apply to the sharded plan, so their presence
-    # repins the harness plan (EngineConfig rejects the combination
-    # otherwise).  Everything downstream reads args.plan.
-    args.plan = (
-        "sharded"
-        if args.shard_executor or args.n_shards is not None
-        else PLAN
-    )
+    # n_shards only applies to the sharded plan, so its presence repins
+    # the harness plan (EngineConfig rejects the combination otherwise).
+    # Everything downstream reads args.plan.
+    args.plan = "sharded" if args.n_shards is not None else PLAN
     if args.ci:
         args.clients = min(args.clients, 32)
         args.requests_per_client = min(args.requests_per_client, 4)
@@ -393,7 +369,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "grid_m": args.grid_m,
         "n_partitions": args.grid_m * args.grid_m,
         "plan": args.plan,
-        "shard_executor": args.shard_executor,
         "n_shards": args.n_shards,
         "heavy_clients": args.heavy_clients,
         "heavy_queries_per_request": args.heavy_queries_per_request,
