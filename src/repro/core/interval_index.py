@@ -52,9 +52,15 @@ PLAN_BROADCAST = "broadcast"
 PLAN_PRUNED = "pruned"
 PLAN_SHARDED = "sharded"
 
-#: Plans the packed (partition-backed) engine can execute.  ``dense`` is
-#: handled one level up, by the private matrix's prefix-sum switch.
-PACKED_PLANS = (PLAN_BROADCAST, PLAN_PRUNED, PLAN_SHARDED)
+#: Plans the packed kernel itself runs
+#: (:meth:`~repro.core.packed.PackedPartitioning.answer_many_arrays`).
+KERNEL_PLANS = (PLAN_BROADCAST, PLAN_PRUNED)
+
+#: Plans the packed (partition-backed) engine can execute: the kernel
+#: plans plus the sharded layout, whose shards call back into the
+#: kernel.  ``dense`` is handled one level up, by the private matrix's
+#: prefix-sum switch.
+PACKED_PLANS = KERNEL_PLANS + (PLAN_SHARDED,)
 
 #: Below this many partitions the broadcast kernel is already cheap and
 #: the gather bookkeeping cannot amortize.

@@ -39,6 +39,7 @@ import numpy as np
 from .exceptions import PartitioningError, QueryError, ValidationError
 from .frequency_matrix import Box
 from .interval_index import (
+    KERNEL_PLANS,
     PLAN_BROADCAST,
     PLAN_PRUNED,
     IntervalIndex,
@@ -460,10 +461,10 @@ class PackedPartitioning:
             return self.interval_index().answer_pruned(
                 lows, highs, slices=slices
             )
-        if plan != PLAN_BROADCAST:
+        if plan not in KERNEL_PLANS:
             raise QueryError(
-                f"unknown packed query plan {plan!r}; expected "
-                f"{PLAN_BROADCAST!r} or {PLAN_PRUNED!r}"
+                f"unknown packed query plan {plan!r}; expected one of "
+                f"{', '.join(repr(p) for p in KERNEL_PLANS)}"
             )
         k = self.n_partitions
         d = self.ndim
